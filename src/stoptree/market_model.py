@@ -59,8 +59,7 @@ class TreeModel:
         self.horizon = int(horizon)
         self.root = root
         self._nodes: dict[str, Node] = dict(nodes)
-        self._validate()
-        self._order: tuple[str, ...] = tuple(self._walk_preorder(self.root))
+        self._order: tuple[str, ...] = self._validate()
         by_time: dict[int, list[str]] = {}
         for nid in self._order:
             by_time.setdefault(self._nodes[nid].time, []).append(nid)
@@ -186,9 +185,11 @@ class TreeModel:
         while stack:
             nid = stack.pop()
             yield nid
-            stack.extend(cid for cid, _ in reversed(self._nodes[nid].children))
+            for cid, _ in reversed(self._nodes[nid].children):
+                stack.append(cid)
 
-    def _validate(self) -> None:
+    def _validate(self) -> tuple[str, ...]:
+        """Check every invariant; returns the node ids in preorder."""
         if self.horizon < 1:
             raise ModelValidationError("horizon must be >= 1")
         if self.root not in self._nodes:
@@ -231,28 +232,26 @@ class TreeModel:
                     raise ModelValidationError(
                         f"children probabilities of node {nid!r} sum to {total!r}, not 1"
                     )
-        # reachability: every node must chain back to the root
-        for nid in self._nodes:
-            cur: str | None = nid
-            seen = 0
-            while cur is not None and seen <= len(self._nodes):
-                if cur == self.root:
-                    break
-                cur = self._nodes[cur].parent
-                seen += 1
-            else:
-                raise ModelValidationError(f"node {nid!r} is not connected to the root")
-        # all leaf path probabilities strictly positive
-        def walk(nid: str, p: float) -> None:
-            node = self._nodes[nid]
-            if not node.children:
-                if p <= 0.0:
-                    raise ModelValidationError(f"leaf {nid!r} has nonpositive path probability")
-                return
-            for cid, pc in node.children:
-                walk(cid, p * pc)
-
-        walk(self.root, 1.0)
+        # one preorder walk from the root: every node must be reached, and
+        # every leaf with a strictly positive path probability
+        order: list[str] = []
+        bad_leaf = None
+        stack = [(self.root, 1.0)]
+        while stack:
+            nid, p = stack.pop()
+            order.append(nid)
+            kids = self._nodes[nid].children
+            if not kids and p <= 0.0 and bad_leaf is None:
+                bad_leaf = nid
+            for cid, pc in reversed(kids):
+                stack.append((cid, p * pc))
+        if len(order) != len(self._nodes):
+            reached = set(order)
+            nid = next(nid for nid in self._nodes if nid not in reached)
+            raise ModelValidationError(f"node {nid!r} is not connected to the root")
+        if bad_leaf is not None:
+            raise ModelValidationError(f"leaf {bad_leaf!r} has nonpositive path probability")
+        return tuple(order)
 
 
 def build_tree_from_spec(spec: Mapping) -> TreeModel:
@@ -403,20 +402,18 @@ class StoppingTime:
                 f"stop node {sorted(stray)[0]!r} lies outside the subtree of {self.start!r}"
             )
 
-        def check(nid: str, stopped: bool) -> None:
-            hit = nid in self.stop_set
-            if hit and stopped:
-                raise ModelValidationError(f"path through {nid!r} stops more than once")
-            stopped = stopped or hit
+        stack = [(self.start, False)]
+        while stack:
+            nid, stopped = stack.pop()
+            if nid in self.stop_set:
+                if stopped:
+                    raise ModelValidationError(f"path through {nid!r} stops more than once")
+                stopped = True
             kids = model.children(nid)
-            if not kids:
-                if not stopped:
-                    raise ModelValidationError(f"path ending at leaf {nid!r} never stops")
-                return
-            for cid, _ in kids:
-                check(cid, stopped)
-
-        check(self.start, False)
+            if not kids and not stopped:
+                raise ModelValidationError(f"path ending at leaf {nid!r} never stops")
+            for cid, _ in reversed(kids):
+                stack.append((cid, stopped))
 
     def stop_node_on_path(self, leaf: str) -> str:
         """The unique stop node on the path from ``start`` through ``leaf``."""
@@ -437,15 +434,14 @@ class MultiReward:
 
     ``fn`` receives the root-to-node path truncated at ``max(times)`` plus the
     times vector, which is exactly what measurability at the latest stop allows
-    it to see. ``structure`` is one of ``"general"``, ``"additive"`` (with the
-    underlying ``y`` process attached), or ``"symmetric-general"``.
+    it to see. ``structure`` is one of ``"general"``, ``"additive"`` or
+    ``"symmetric-general"``.
     """
 
     d: int
     fn: Callable[[tuple[str, ...], tuple[int, ...]], float]
     symmetric: bool = False
     structure: str = "general"
-    y: NodeProcess | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -474,7 +470,7 @@ class MultiReward:
         def fn(path: tuple[str, ...], times: tuple[int, ...]) -> float:
             return sum(y[path[t]] for t in times)
 
-        return cls(d=d, fn=fn, symmetric=True, structure="additive", y=y)
+        return cls(d=d, fn=fn, symmetric=True, structure="additive")
 
     @classmethod
     def multiplicative(cls, y: NodeProcess, d: int) -> "MultiReward":
@@ -486,7 +482,7 @@ class MultiReward:
                 out *= y[path[t]]
             return out
 
-        return cls(d=d, fn=fn, symmetric=True, structure="symmetric-general", y=y)
+        return cls(d=d, fn=fn, symmetric=True, structure="symmetric-general")
 
     @classmethod
     def zero(cls, d: int) -> "MultiReward":
@@ -538,30 +534,46 @@ def stopping_time_value(tau: StoppingTime, x: NodeProcess, at: str) -> float:
         if nid in tau.stop_set:
             raise ValueError(f"stopping time already stopped at {nid!r}, above {at!r}")
 
-    def rec(nid: str, p: float) -> float:
+    total = 0.0
+    stack = [(at, 1.0)]
+    while stack:
+        nid, p = stack.pop()
         if nid in tau.stop_set:
-            return p * x[nid]
-        total = 0.0
-        for cid, pc in model.children(nid):
-            total += rec(cid, p * pc)
-        return total
-
-    return rec(at, 1.0)
+            total += p * x[nid]
+            continue
+        for cid, pc in reversed(model.children(nid)):
+            stack.append((cid, p * pc))
+    return total
 
 
 def count_stopping_times(model: TreeModel, start: str) -> int:
     """Number of exact cuts of the subtree of ``start``: N(leaf)=1, N(n)=1+Π N(child)."""
-
-    def rec(nid: str) -> int:
+    counts: dict[str, int] = {}
+    for nid in reversed(tuple(model.subtree_ids(start))):
         kids = model.children(nid)
         if not kids:
-            return 1
+            counts[nid] = 1
+            continue
         prod_count = 1
         for cid, _ in kids:
-            prod_count *= rec(cid)
-        return 1 + prod_count
+            prod_count *= counts.pop(cid)
+        counts[nid] = 1 + prod_count
+    return counts[start]
 
-    return rec(start)
+
+def all_cuts(model: TreeModel, start: str) -> list[frozenset[str]]:
+    """Every exact cut of the subtree of ``start`` as a stop set, in canonical
+    order: stop-at-the-node first, then child combinations in declared child
+    order, the first child varying slowest."""
+    cuts: dict[str, list[frozenset[str]]] = {}
+    for nid in reversed(tuple(model.subtree_ids(start))):
+        out = [frozenset((nid,))]
+        kids = model.children(nid)
+        if kids:
+            for combo in product(*(cuts.pop(cid) for cid, _ in kids)):
+                out.append(frozenset().union(*combo))
+        cuts[nid] = out
+    return cuts[start]
 
 
 def enumerate_stopping_times(
@@ -579,16 +591,7 @@ def enumerate_stopping_times(
             f"subtree of {start!r} admits {total} stopping times, above the cap of {cap}",
             count=total,
         )
-
-    def cuts(nid: str) -> list[frozenset[str]]:
-        out = [frozenset((nid,))]
-        kids = model.children(nid)
-        if kids:
-            for combo in product(*(cuts(cid) for cid, _ in kids)):
-                out.append(frozenset().union(*combo))
-        return out
-
-    for cut in cuts(start):
+    for cut in all_cuts(model, start):
         yield StoppingTime(model, start, cut)
 
 

@@ -8,6 +8,16 @@ is the payoff the outer single-stopping problem should see. Backward
 induction on that new reward gives the d-fold value, and unwinding the
 argmax choices yields an explicit optimal tuple whose earliest component
 is the earliest optimal single stop of the reduced problem.
+
+All nested values come from one backward induction over (node, state)
+pairs, :class:`BackwardInduction`. A state says what is committed so far;
+at each node a state either continues (the expectation over the children)
+or stops (a move to a successor state at the same node, possibly
+collecting a gain), and fully committed states evaluate ψ. Here a state
+is the set of committed ``(component, time)`` pairs; the ordered and swing
+solvers of :mod:`stoptree.symmetric_swing` run the same routine on their
+own states. Stop/continue decisions compare values exactly: a state stops
+when its first stop move reaches the state's value.
 """
 from __future__ import annotations
 
@@ -80,8 +90,142 @@ def tuple_value(tup: MultiStoppingTuple, psi: MultiReward) -> float:
     return total
 
 
-class NestedValue:
-    """Memoized nested-problem values for one (model, reward) pair.
+class BackwardInduction:
+    """A value table over (node, state) pairs, filled by backward induction.
+
+    Subclasses describe the states: ``_rank(s)``, the number of the d
+    commitments made, which every stop move raises by one;
+    ``_terminal_value(s, path, node)`` for states of rank d (``path`` is the
+    root path to the node); ``_stops(s, node, t)``, the stop moves of a
+    state of lower rank as ``(component slot, gain, successor)`` in tie-break
+    order; and ``_carry(s, t)``, the state handed to the children at time
+    ``t``, or ``None`` if ``s`` may not continue. The defaults suit states
+    that list the commitments made.
+
+    A query for an untabulated pair fills the table below it: a forward pass
+    collects the untabulated states reachable from the pair, node by node in
+    level order, and a backward pass from the deepest level up values them.
+    """
+
+    label = "value table"
+    uses_path = True  # whether terminal values read the root path
+    _rank = staticmethod(len)
+
+    def __init__(self, model: TreeModel, d: int, cap_states: int | None):
+        self.model, self.d, self.cap_states = model, d, cap_states
+        self._values: dict[str, dict] = {}
+        self._count = 0
+
+    def _carry(self, s, t: int):
+        return s
+
+    def state_count(self) -> int:
+        return self._count
+
+    def value(self, state, node: str) -> float:
+        """Value of ``state`` at ``node``; tabulates the subtree below on first use."""
+        v = self._values.get(node, {}).get(state)
+        if v is None:
+            self._fill(state, node)
+            v = self._values[node][state]
+        return v
+
+    def extract(self, state, start: str) -> MultiStoppingTuple:
+        """Replay the table from ``(start, state)`` into d stopping rules: at
+        every node a state takes the first stop move that reaches its value,
+        as long as one does, and otherwise continues to the children."""
+        model = self.model
+        self.value(state, start)
+        stop_sets: list[set[str]] = [set() for _ in range(self.d)]
+        stack = [(start, state)]
+        while stack:
+            nid, s = stack.pop()
+            vals, t = self._values[nid], model.time(nid)
+            while self._rank(s) < self.d:
+                here = vals[s]
+                move = next(((slot, succ) for slot, gain, succ in self._stops(s, nid, t)
+                             if vals[succ] + gain >= here), None)
+                if move is None:
+                    break
+                stop_sets[move[0]].add(nid)
+                s = move[1]
+            else:
+                continue  # every component committed on this path
+            carried = self._carry(s, t + 1)
+            for cid, _ in model.children(nid):
+                stack.append((cid, carried))
+        return MultiStoppingTuple(
+            tuple(StoppingTime(model, start, frozenset(s)) for s in stop_sets)
+        )
+
+    def _fill(self, state, node: str) -> None:
+        model, values, cap, d = self.model, self._values, self.cap_states, self.d
+        stops, carry, rank = self._stops, self._carry, self._rank
+        count = self._count
+        levels: list[tuple[str, list, int]] = []
+        arriving, queue = {node: [state]}, [node]
+        for nid in queue:
+            n = model.node(nid)
+            known, t, kids = values.get(nid, {}), n.time, n.children
+            by_rank: list[list] = [[] for _ in range(d + 1)]
+            for s in arriving.pop(nid):
+                by_rank[rank(s)].append(s)
+            new: dict = {}  # untabulated states, in increasing rank
+            carried, n_open = [], 0
+            for r, bucket in enumerate(by_rank):
+                for s in bucket:
+                    if s in new or s in known:
+                        continue
+                    new[s] = None
+                    if r == d:
+                        continue
+                    n_open += 1
+                    for _, _, succ in stops(s, nid, t):
+                        by_rank[r + 1].append(succ)
+                    c = carry(s, t + 1) if kids else None
+                    if c is not None:
+                        carried.append(c)
+            count += len(new)
+            if cap is not None and count > cap:
+                raise CapExceededError(f"{self.label} exceeded its budget of {cap} states",
+                                       count=count)
+            if new:
+                levels.append((nid, list(new), n_open))
+                for cid, _ in kids if carried else ():
+                    arriving[cid] = carried
+                    queue.append(cid)
+
+        paths: dict[str, tuple[str, ...]] = {}
+        for nid, states, n_open in reversed(levels):  # children before their parent
+            n, vals = model.node(nid), values.setdefault(nid, {})
+            t, children = n.time, n.children
+            kids = [(p, values.get(cid)) for cid, p in children]
+            if self.uses_path:  # a node's path is a child's path without the child
+                below = [paths.pop(cid) for cid, _ in children if cid in paths]
+                paths[nid] = below[0][:-1] if below else model.path_to(nid)
+            path = paths.get(nid)
+            for s in states[n_open:]:
+                vals[s] = self._terminal_value(s, path, nid)
+            for s in reversed(states[:n_open]):  # successors before the states that stop into them
+                best = None
+                for _, gain, succ in stops(s, nid, t):
+                    v = vals[succ] + gain
+                    if best is None or v > best:
+                        best = v
+                c = carry(s, t + 1) if kids else None
+                if c is not None:
+                    cont = 0.0
+                    for p, child_vals in kids:
+                        cont += p * child_vals[c]
+                    best = cont if best is None else max(best, cont)
+                if best is None:
+                    raise AssertionError(f"state {s!r} at {nid!r} has no action")
+                vals[s] = best
+            self._count += len(states)
+
+
+class NestedValue(BackwardInduction):
+    """Nested-problem values for one (model, reward) pair.
 
     A state is a node plus the set of components already committed (with
     their commit times). ``residual_value`` is the best achievable from that
@@ -89,68 +233,31 @@ class NestedValue:
     commit at the node right now.
     """
 
+    label = "nested value table"
+
     def __init__(self, model: TreeModel, psi: MultiReward, cap_states: int = DEFAULT_STATE_CAP):
-        self.model = model
+        super().__init__(model, psi.d, cap_states)
         self.psi = psi
-        self.cap_states = cap_states
-        self._residual: dict[tuple[FixedKey, str], float] = {}
-        self._reward: dict[tuple[FixedKey, str], float] = {}
 
     def residual_value(self, fixed: FixedKey, node: str) -> float:
         """Value at ``node`` given the commitments in ``fixed``; remaining components free."""
-        fixed = _canon(fixed, self.psi.d)
-        if len(fixed) == self.psi.d:
-            times = tuple(t for _, t in sorted(fixed))
-            return self.psi.evaluate(self.model.path_to(node), times)
-        key = (fixed, node)
-        cached = self._residual.get(key)
-        if cached is not None:
-            return cached
-        self._charge()
-        kids = self.model.children(node)
-        if not kids:
-            out = self.new_reward(fixed, node)
-        else:
-            cont = 0.0
-            for cid, p in kids:
-                cont += p * self.residual_value(fixed, cid)
-            out = max(self.new_reward(fixed, node), cont)
-        self._residual[key] = out
-        return out
+        return self.value(_canon(fixed, self.d), node)
 
     def new_reward(self, fixed: FixedKey, node: str) -> float:
         """Best value at ``node`` when one more component commits here, now."""
-        fixed = _canon(fixed, self.psi.d)
-        if len(fixed) >= self.psi.d:
+        fixed = _canon(fixed, self.d)
+        if len(fixed) >= self.d:
             raise ValueError("all components are already committed")
-        key = (fixed, node)
-        cached = self._reward.get(key)
-        if cached is not None:
-            return cached
-        self._charge()
         t = self.model.time(node)
-        taken = {i for i, _ in fixed}
-        best = None
-        for i in range(self.psi.d):
-            if i in taken:
-                continue
-            v = self.residual_value(_extend(fixed, i, t), node)
-            if best is None or v > best:
-                best = v
-        assert best is not None
-        self._reward[key] = best
-        return best
+        return max(self.value(succ, node) for _, _, succ in self._stops(fixed, node, t))
 
-    def state_count(self) -> int:
-        return len(self._residual) + len(self._reward)
+    def _terminal_value(self, fixed: FixedKey, path, node: str) -> float:
+        return self.psi.evaluate(path, tuple(t for _, t in fixed))
 
-    def _charge(self) -> None:
-        n = self.state_count()
-        if n >= self.cap_states:
-            raise CapExceededError(
-                f"nested value table exceeded its budget of {self.cap_states} states",
-                count=n,
-            )
+    def _stops(self, fixed: FixedKey, node: str, t: int):
+        taken = [i for i, _ in fixed]
+        return [(i, 0.0, tuple(sorted(fixed + ((i, t),))))
+                for i in range(self.d) if i not in taken]
 
 
 def _canon(fixed, d: int) -> FixedKey:
@@ -164,10 +271,6 @@ def _canon(fixed, d: int) -> FixedKey:
         if t < 0:
             raise ValueError(f"negative commit time {t}")
     return out
-
-
-def _extend(fixed: FixedKey, i: int, t: int) -> FixedKey:
-    return tuple(sorted(fixed + ((i, t),)))
 
 
 def u_component(
@@ -192,7 +295,7 @@ def u_component(
             raise ValueError(f"component {i} is already committed")
         if tj > t:
             raise ValueError(f"commitment of component {j} at time {tj} lies after node {node!r}")
-    return nested.residual_value(_extend(fixed, i, t), node)
+    return nested.residual_value(fixed + ((i, t),), node)
 
 
 def new_reward(
@@ -205,56 +308,19 @@ def new_reward(
     """Synthetic one-step reward: best u_component over the still-free indices."""
     if nested is None:
         nested = NestedValue(model, psi)
-    return nested.new_reward(_canon(fixed, psi.d), node)
+    return nested.new_reward(fixed, node)
 
 
-def assemble_optimal_tuple(
-    nested: NestedValue, start: str, *, eps: float = EPS_EQ
-) -> MultiStoppingTuple:
-    """Unwind the nested recursion into d explicit stopping rules.
+def assemble_optimal_tuple(nested: NestedValue, start: str) -> MultiStoppingTuple:
+    """Unwind the nested values into d explicit stopping rules.
 
     On every path the walk commits a component at the first node where
-    stopping matches the residual value, choosing the smallest attaining
+    stopping reaches the residual value, choosing the smallest attaining
     component index on ties, then continues with the residual problem. The
     earliest commitment nodes therefore reproduce the earliest optimal stop
     of the reduced problem.
     """
-    model = nested.model
-    d = nested.psi.d
-    stop_sets: list[set[str]] = [set() for _ in range(d)]
-
-    def commit(fixed: FixedKey, node: str) -> None:
-        target = nested.new_reward(fixed, node)
-        taken = {i for i, _ in fixed}
-        t = model.time(node)
-        chosen = None
-        for i in range(d):
-            if i in taken:
-                continue
-            if nested.residual_value(_extend(fixed, i, t), node) >= target - eps:
-                chosen = i
-                break
-        if chosen is None:
-            raise AssertionError(f"no component attains the committed value at {node!r}")
-        stop_sets[chosen].add(node)
-        extended = _extend(fixed, chosen, t)
-        if len(extended) < d:
-            walk(extended, node)
-
-    def walk(fixed: FixedKey, node: str) -> None:
-        if nested.residual_value(fixed, node) <= nested.new_reward(fixed, node) + eps:
-            commit(fixed, node)
-            return
-        kids = model.children(node)
-        if not kids:
-            raise AssertionError(f"leaf {node!r} fails the stopping equality")
-        for cid, _ in kids:
-            walk(fixed, cid)
-
-    walk((), start)
-    return MultiStoppingTuple(
-        tuple(StoppingTime(model, start, frozenset(s)) for s in stop_sets)
-    )
+    return nested.extract((), start)
 
 
 @dataclass(frozen=True)
@@ -297,7 +363,7 @@ def solve_multi(
     phi = NodeProcess(model, {nid: nested.new_reward((), nid) for nid in model.node_ids()})
     snell = snell_solve(phi)
     theta = minimal_optimal_stop(snell, start)
-    tup = assemble_optimal_tuple(nested, start, eps=eps)
+    tup = assemble_optimal_tuple(nested, start)
 
     attained = tuple_value(tup, psi)
     if abs(attained - value) > eps:
@@ -330,106 +396,4 @@ def solve_multi(
         nested=nested,
         diagnostics=diagnostics,
         instance_hash=instance_fingerprint(model, psi, start),
-    )
-
-
-def tuple_order_below(a, b) -> bool:
-    """Whether time vector ``a`` is below-or-equal ``b`` in the d-fold order.
-
-    The order compares minima first; on equal minima some position must
-    attain the minimum in both vectors and leave below-or-equal reduced
-    vectors behind. For d = 1 it is the usual order on integers.
-    """
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
-    if len(a) != len(b):
-        raise ValueError(f"cannot compare tuples of lengths {len(a)} and {len(b)}")
-    return _below(a, b)
-
-
-def _below(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    if len(a) == 1:
-        return a[0] <= b[0]
-    ma, mb = min(a), min(b)
-    if ma != mb:
-        return ma < mb
-    for i, ai in enumerate(a):
-        if ai == ma and b[i] == mb and _below(a[:i] + a[i + 1 :], b[:i] + b[i + 1 :]):
-            return True
-    return False
-
-
-def tuple_order_compare(a, b) -> str:
-    """Compare two stop-time vectors: 'equal', 'less', 'greater', or 'incomparable'."""
-    ab = tuple_order_below(a, b)
-    ba = tuple_order_below(b, a)
-    if ab and ba:
-        return "equal"
-    if ab:
-        return "less"
-    if ba:
-        return "greater"
-    return "incomparable"
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Outcome of checking a candidate tuple against every enumerated optimum."""
-
-    candidate_value: float
-    oracle_value: float
-    optimal_count: int
-    candidate_optimal: bool
-    below_all: bool
-    violations: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = ()
-
-    @property
-    def minimal(self) -> bool:
-        return self.candidate_optimal and self.below_all
-
-
-def verify_minimal_optimal(
-    model: TreeModel,
-    psi: MultiReward,
-    start: str,
-    candidate: MultiStoppingTuple,
-    *,
-    cap_tuples: int | None = None,
-    time_budget: float = 60.0,
-    eps: float = EPS_EQ,
-) -> MinimalityReport:
-    """Check by exhaustive enumeration that ``candidate`` is optimal and pathwise
-    below-or-equal every optimal tuple. ``violations`` lists up to 20 offending
-    (leaf, candidate times, other times) triples."""
-    from .oracle import DEFAULT_TUPLE_CAP, brute_force_value
-
-    report = brute_force_value(
-        model,
-        psi,
-        start,
-        cap_tuples=DEFAULT_TUPLE_CAP if cap_tuples is None else cap_tuples,
-        time_budget=time_budget,
-        eps=eps,
-    )
-    cand_val = tuple_value(candidate, psi)
-    candidate_optimal = abs(cand_val - report.value) <= eps
-    leaves = tuple(model.leaves_below(start))
-    violations: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-    for other in report.optimal_tuples:
-        for leaf in leaves:
-            mine = candidate.times_on_path(leaf)
-            theirs = other.times_on_path(leaf)
-            if not tuple_order_below(mine, theirs):
-                violations.append((leaf, mine, theirs))
-                if len(violations) >= 20:
-                    break
-        if len(violations) >= 20:
-            break
-    return MinimalityReport(
-        candidate_value=cand_val,
-        oracle_value=report.value,
-        optimal_count=len(report.optimal_tuples),
-        candidate_optimal=candidate_optimal,
-        below_all=not violations,
-        violations=tuple(violations),
     )

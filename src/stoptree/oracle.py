@@ -4,6 +4,8 @@ This module deliberately shares no optimization logic with the solvers: it
 enumerates stopping tuples outright, evaluates each one leaf by leaf, and
 keeps every maximizer. Slow by design, trustworthy by construction — its
 purpose is to certify the backward-induction results on small instances.
+The d-fold order on stop-time vectors, and the pathwise-minimality check
+built on it, live here too.
 """
 from __future__ import annotations
 
@@ -17,10 +19,11 @@ from .market_model import (
     MultiReward,
     StoppingTime,
     TreeModel,
+    all_cuts,
     count_stopping_times,
     instance_fingerprint,
 )
-from .multiple_stopping import MultiStoppingTuple, SolveReport, tuple_order_below
+from .multiple_stopping import MultiStoppingTuple, SolveReport, tuple_value
 from .single_stopping import EPS_EQ
 
 DEFAULT_TUPLE_CAP = 10_000_000
@@ -106,7 +109,7 @@ def brute_force_value(
 
     def tuples():
         if min_gap is None:
-            cuts = _all_cuts(model, start)
+            cuts = all_cuts(model, start)
             maps = [cut_times(c) for c in cuts]
             for combo in product(range(len(cuts)), repeat=psi.d):
                 yield tuple(cuts[i] for i in combo), tuple(maps[i] for i in combo)
@@ -162,20 +165,6 @@ def brute_force_value(
     )
 
 
-def _all_cuts(model: TreeModel, start: str) -> list[frozenset[str]]:
-    """Every exact cut of the subtree, stop-here first, children row-major."""
-
-    def rec(nid: str) -> list[frozenset[str]]:
-        out = [frozenset((nid,))]
-        kids = model.children(nid)
-        if kids:
-            for combo in product(*(rec(cid) for cid, _ in kids)):
-                out.append(frozenset().union(*combo))
-        return out
-
-    return rec(start)
-
-
 def _count_ordered(model: TreeModel, start: str, d: int, gap: int) -> int:
     def rec(nid: str, k: int, a: int) -> int:
         if k == 0:
@@ -217,6 +206,107 @@ def _ordered_cuts(model: TreeModel, start: str, d: int, gap: int):
     yield from rec(start, d, model.time(start))
 
 
+def tuple_order_below(a, b) -> bool:
+    """Whether time vector ``a`` is below-or-equal ``b`` in the d-fold order.
+
+    The order compares minima first; on equal minima some position must
+    attain the minimum in both vectors and leave below-or-equal reduced
+    vectors behind. For d = 1 it is the usual order on integers.
+    """
+    a = tuple(int(x) for x in a)
+    b = tuple(int(x) for x in b)
+    if len(a) != len(b):
+        raise ValueError(f"cannot compare tuples of lengths {len(a)} and {len(b)}")
+    pending = [(a, b)]  # reduced pairs still to try
+    while pending:
+        a, b = pending.pop()
+        ma, mb = min(a), min(b)
+        if ma < mb or (ma == mb and len(a) == 1):
+            return True
+        if ma == mb:
+            pending.extend((a[:i] + a[i + 1 :], b[:i] + b[i + 1 :])
+                           for i in range(len(a)) if a[i] == ma == b[i])
+    return False
+
+
+def order_violations(
+    candidate: MultiStoppingTuple, others, leaves
+) -> tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]:
+    """The first 20 (leaf, candidate times, other times) triples where
+    ``candidate`` is not below-or-equal a tuple of ``others`` on the path to a leaf."""
+    mine = {leaf: candidate.times_on_path(leaf) for leaf in leaves}
+    violations = []
+    for other in others:
+        for leaf in leaves:
+            theirs = other.times_on_path(leaf)
+            if not tuple_order_below(mine[leaf], theirs):
+                violations.append((leaf, mine[leaf], theirs))
+                if len(violations) >= 20:
+                    return tuple(violations)
+    return tuple(violations)
+
+
+def tuple_order_compare(a, b) -> str:
+    """Compare two stop-time vectors: 'equal', 'less', 'greater', or 'incomparable'."""
+    ab = tuple_order_below(a, b)
+    ba = tuple_order_below(b, a)
+    if ab and ba:
+        return "equal"
+    if ab:
+        return "less"
+    if ba:
+        return "greater"
+    return "incomparable"
+
+
+@dataclass(frozen=True)
+class MinimalityReport:
+    """Outcome of checking a candidate tuple against every enumerated optimum."""
+
+    candidate_value: float
+    oracle_value: float
+    optimal_count: int
+    candidate_optimal: bool
+    below_all: bool
+    violations: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = ()
+
+    @property
+    def minimal(self) -> bool:
+        return self.candidate_optimal and self.below_all
+
+
+def verify_minimal_optimal(
+    model: TreeModel,
+    psi: MultiReward,
+    start: str,
+    candidate: MultiStoppingTuple,
+    *,
+    cap_tuples: int | None = None,
+    time_budget: float = 60.0,
+    eps: float = EPS_EQ,
+) -> MinimalityReport:
+    """Check by exhaustive enumeration that ``candidate`` is optimal and pathwise
+    below-or-equal every optimal tuple. ``violations`` lists up to 20 offending
+    (leaf, candidate times, other times) triples."""
+    report = brute_force_value(
+        model, psi, start, time_budget=time_budget, eps=eps,
+        cap_tuples=DEFAULT_TUPLE_CAP if cap_tuples is None else cap_tuples,
+    )
+    cand_val = tuple_value(candidate, psi)
+    candidate_optimal = abs(cand_val - report.value) <= eps
+    violations = order_violations(
+        candidate, report.optimal_tuples, tuple(model.leaves_below(start))
+    )
+    return MinimalityReport(
+        candidate_value=cand_val,
+        oracle_value=report.value,
+        optimal_count=len(report.optimal_tuples),
+        candidate_optimal=candidate_optimal,
+        below_all=not violations,
+        violations=violations,
+    )
+
+
 @dataclass(frozen=True)
 class CertificationVerdict:
     """Comparison of a backward-induction solution with the enumeration oracle."""
@@ -254,30 +344,15 @@ def certify(report: SolveReport, oracle_report: OracleReport, *, eps: float = EP
     """
     if report.instance_hash != oracle_report.instance_hash:
         raise ValueError("solver and oracle reports describe different instances")
-    model = report.model
-    start = report.start
     delta = abs(report.value - oracle_report.value)
     value_ok = delta <= eps
-
-    leaves = tuple(model.leaves_below(start))
-    attained = 0.0
-    for leaf in leaves:
-        attained += model.cond_prob(start, leaf) * report.reward.evaluate(
-            model.path_to(leaf), report.stopping_tuple.times_on_path(leaf)
-        )
+    attained = tuple_value(report.stopping_tuple, report.reward)
     tuple_attains = abs(attained - oracle_report.value) <= eps
-
-    violations: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-    for other in oracle_report.optimal_tuples:
-        for leaf in leaves:
-            mine = report.stopping_tuple.times_on_path(leaf)
-            theirs = other.times_on_path(leaf)
-            if not tuple_order_below(mine, theirs):
-                violations.append((leaf, mine, theirs))
-                if len(violations) >= 20:
-                    break
-        if len(violations) >= 20:
-            break
+    violations = order_violations(
+        report.stopping_tuple,
+        oracle_report.optimal_tuples,
+        tuple(report.model.leaves_below(report.start)),
+    )
     minimal = not violations
 
     return CertificationVerdict(
@@ -289,5 +364,5 @@ def certify(report: SolveReport, oracle_report: OracleReport, *, eps: float = EP
         tuple_attains=tuple_attains,
         minimal=minimal,
         passed=value_ok and tuple_attains and minimal,
-        violations=tuple(violations),
+        violations=violations,
     )

@@ -18,7 +18,7 @@ from .market_model import (
     stopping_time_value,
 )
 
-EPS_EQ = 1e-9
+EPS_EQ = 1e-9  # default tolerance of the post-solve checks; no stop decision reads it
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,7 @@ def snell_solve(reward: NodeProcess) -> SnellSolution:
                     cont += p * values[cid]
                 values[nid] = max(reward[nid], cont)
     value = NodeProcess(model, values)
-    equality = frozenset(
-        nid for nid in model.node_ids() if value[nid] <= reward[nid] + EPS_EQ
-    )
+    equality = frozenset(nid for nid in model.node_ids() if value[nid] == reward[nid])
     return SnellSolution(model=model, reward=reward, value=value, equality_set=equality)
 
 
@@ -71,7 +69,7 @@ def lambda_stop(sol: SnellSolution, start: str, lam: float) -> StoppingTime:
     hit = frozenset(
         nid
         for nid in sol.model.node_ids()
-        if lam * sol.value[nid] <= sol.reward[nid] + EPS_EQ
+        if lam * sol.value[nid] <= sol.reward[nid]
     )
     return _first_hit(sol.model, start, hit)
 
@@ -160,16 +158,15 @@ def check_optimality(
 
 def _first_hit(model: TreeModel, start: str, hit: frozenset[str]) -> StoppingTime:
     stop_set: set[str] = set()
-
-    def walk(nid: str) -> None:
+    stack = [start]
+    while stack:
+        nid = stack.pop()
         if nid in hit:
             stop_set.add(nid)
-            return
+            continue
         kids = model.children(nid)
         if not kids:
             raise ValueError(f"path reached leaf {nid!r} without entering the target set")
-        for cid, _ in kids:
-            walk(cid)
-
-    walk(start)
+        for cid, _ in reversed(kids):
+            stack.append(cid)
     return StoppingTime(model, start, frozenset(stop_set))

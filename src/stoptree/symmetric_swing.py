@@ -1,25 +1,27 @@
 """Exchangeable multi-stopping and swing options with a refraction period.
 
-When the reward does not care about the order of the d stop times, the
-nested recursion collapses: commitments can be made in nondecreasing time
-order, so a state is just the node plus the times committed so far. The
-swing specialization adds per-right payoffs collected from one process and
-a minimum gap (refraction period) delta between consecutive exercises, with
-all d rights forced into the horizon.
+Both problems run the backward induction of
+:class:`stoptree.multiple_stopping.BackwardInduction` on smaller states than
+the general d-fold solver. When the reward does not care about the order of
+the d stop times, commitments can be made in nondecreasing time order, so a
+state is just the times committed so far, and its one stop move appends the
+node's time. The swing specialization collects per-right payoffs from one
+process, as the gain of its stop move, and keeps a minimum gap (refraction
+period) delta between consecutive exercises, with all d rights forced into
+the horizon; a state is the number of rights left and the earliest time the
+next one may be used.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .market_model import (
-    CapExceededError,
-    InfeasibleError,
-    MultiReward,
-    NodeProcess,
-    StoppingTime,
-    TreeModel,
+from .market_model import InfeasibleError, MultiReward, NodeProcess, TreeModel
+from .multiple_stopping import (
+    DEFAULT_STATE_CAP,
+    BackwardInduction,
+    MultiStoppingTuple,
+    tuple_value,
 )
-from .multiple_stopping import DEFAULT_STATE_CAP, MultiStoppingTuple, tuple_value
 from .single_stopping import EPS_EQ
 
 
@@ -47,68 +49,42 @@ def symmetric_backward(
     cap_states: int = DEFAULT_STATE_CAP,
     eps: float = EPS_EQ,
 ) -> SymmetricSolution:
-    """Solve a symmetric d-fold problem with an ordered-commitment recursion.
+    """Solve a symmetric d-fold problem with ordered commitments.
 
-    States are (times committed so far, node); at each node the recursion
-    either commits the next time now or carries the state to the children.
-    Values agree with the general solver on symmetric rewards; this routine
-    exists because the collapsed state space is what makes larger d cheap.
+    States are the times committed so far; at each node a state either
+    commits the next time now or carries over to the children. Values agree
+    with the general solver on symmetric rewards; this routine exists because
+    the collapsed state space is what makes larger d cheap.
     """
     if not psi.symmetric:
         raise ValueError("symmetric_backward needs a symmetric reward")
     if start not in model:
         raise ValueError(f"unknown start node {start!r}")
-    d = psi.d
-    memo: dict[tuple[tuple[int, ...], str], float] = {}
-
-    def w(prior: tuple[int, ...], node: str) -> float:
-        if len(prior) == d:
-            return psi.evaluate(model.path_to(node), prior)
-        key = (prior, node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if len(memo) >= cap_states:
-            raise CapExceededError(
-                f"ordered-commitment table exceeded its budget of {cap_states} states",
-                count=len(memo),
-            )
-        stop_next = w(prior + (model.time(node),), node)
-        kids = model.children(node)
-        if not kids:
-            out = stop_next
-        else:
-            cont = 0.0
-            for cid, p in kids:
-                cont += p * w(prior, cid)
-            out = max(stop_next, cont)
-        memo[key] = out
-        return out
-
-    value = w((), start)
-
-    stop_sets: list[set[str]] = [set() for _ in range(d)]
-
-    def extract(prior: tuple[int, ...], node: str) -> None:
-        t = model.time(node)
-        while len(prior) < d and w(prior + (t,), node) >= w(prior, node) - eps:
-            stop_sets[len(prior)].add(node)
-            prior = prior + (t,)
-        if len(prior) == d:
-            return
-        for cid, _ in model.children(node):
-            extract(prior, cid)
-
-    extract((), start)
-    tup = MultiStoppingTuple(
-        tuple(StoppingTime(model, start, frozenset(s)) for s in stop_sets)
-    )
+    table = _Ordered(model, psi, cap_states)
+    value = table.value((), start)
+    tup = table.extract((), start)
     attained = tuple_value(tup, psi)
     if abs(attained - value) > eps:
         raise AssertionError(
             f"ordered tuple attains {attained!r}, backward value is {value!r}"
         )
     return SymmetricSolution(value=value, components=tup)
+
+
+class _Ordered(BackwardInduction):
+    """States: the commit times so far, in commitment order (nondecreasing)."""
+
+    label = "ordered-commitment table"
+
+    def __init__(self, model: TreeModel, psi: MultiReward, cap_states: int):
+        super().__init__(model, psi.d, cap_states)
+        self.psi = psi
+
+    def _terminal_value(self, prior: tuple[int, ...], path, node: str) -> float:
+        return self.psi.evaluate(path, prior)
+
+    def _stops(self, prior: tuple[int, ...], node: str, t: int):
+        return ((len(prior), 0.0, prior + (t,)),)
 
 
 @dataclass(frozen=True)
@@ -158,82 +134,30 @@ def swing_solve(
             f"{d} rights with gap {delta} starting at time {t0} do not fit into horizon {horizon}"
         )
 
-    memo: dict[tuple[str, int, int], float] = {}
+    table = _Swing(model, y, d, delta)
+    value = table.value((d, t0), start)
 
-    def feasible(node: str, e: int, a: int) -> bool:
-        return max(a, model.time(node)) + (e - 1) * delta <= horizon
-
-    def v(node: str, e: int, a: int) -> float:
-        if e == 0:
-            return 0.0
-        t = model.time(node)
-        a = max(a, t)
-        key = (node, e, a)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = None
-        if t >= a and t + (e - 1) * delta <= horizon:
-            best = y[node] + v(node, e - 1, t + delta)
-        kids = model.children(node)
-        if kids and max(t + 1, a) + (e - 1) * delta <= horizon:
-            cont = 0.0
-            for cid, p in kids:
-                cont += p * v(cid, e, a)
-            best = cont if best is None else max(best, cont)
-        if best is None:
-            raise AssertionError(f"feasible state ({node!r}, {e}, {a}) has no action")
-        memo[key] = best
-        return best
-
-    value = v(start, d, t0)
+    def at(nid: str, rights: int, earliest: int) -> float:
+        """Value with ``rights`` left, the next usable from ``earliest``; 0 if none fit."""
+        if rights >= 1 and earliest + (rights - 1) * delta <= horizon:
+            return table.value((rights, earliest), nid)
+        return 0.0
 
     value_process = NodeProcess(
-        model,
-        {
-            nid: (v(nid, d, model.time(nid)) if feasible(nid, d, model.time(nid)) else 0.0)
-            for nid in model.node_ids()
-        },
+        model, {nid: at(nid, d, model.time(nid)) for nid in model.node_ids()}
     )
-    z = []
-    for k in range(d):
-        remaining = d - k - 1
-        vals = {}
-        for nid in model.node_ids():
-            t = model.time(nid)
-            if remaining >= 1 and feasible(nid, remaining, t + delta):
-                vals[nid] = v(nid, remaining, t + delta)
-            else:
-                vals[nid] = 0.0
-        z.append(NodeProcess(model, vals))
-
-    stop_sets: list[set[str]] = [set() for _ in range(d)]
-
-    def extract(node: str, e: int, a: int) -> None:
-        if e == 0:
-            return
-        t = model.time(node)
-        a = max(a, t)
-        here = v(node, e, a)
-        if t >= a and t + (e - 1) * delta <= horizon:
-            exercised = y[node] + v(node, e - 1, t + delta)
-            if exercised >= here - eps:
-                stop_sets[d - e].add(node)
-                extract(node, e - 1, t + delta)
-                return
-        for cid, _ in model.children(node):
-            extract(cid, e, a)
-
-    extract(start, d, t0)
-    components = MultiStoppingTuple(
-        tuple(StoppingTime(model, start, frozenset(s)) for s in stop_sets)
+    z = tuple(
+        NodeProcess(model, {nid: at(nid, d - k - 1, model.time(nid) + delta)
+                            for nid in model.node_ids()})
+        for k in range(d)
     )
+    components = table.extract((d, t0), start)
 
     exercise_times: dict[str, tuple[int, ...]] = {}
     attained = 0.0
     for leaf in model.leaves_below(start):
-        times = components.times_on_path(leaf)
         nodes = components.stop_nodes_on_path(leaf)
+        times = tuple(model.time(nid) for nid in nodes)
         for k in range(d - 1):
             if times[k + 1] - times[k] < delta:
                 raise AssertionError(
@@ -252,7 +176,35 @@ def swing_solve(
         start=start,
         value=value,
         value_process=value_process,
-        z=tuple(z),
+        z=z,
         components=components,
         exercise_times=exercise_times,
     )
+
+
+class _Swing(BackwardInduction):
+    """States: ``(rights left, earliest time of the next right)``, the time
+    raised to the node's own; every state without rights is ``(0, 0)``."""
+
+    uses_path = False
+
+    def __init__(self, model: TreeModel, y: NodeProcess, d: int, delta: int):
+        super().__init__(model, d, None)
+        self.y, self.delta, self.horizon = y, delta, model.horizon
+
+    def _rank(self, state: tuple[int, int]) -> int:
+        return self.d - state[0]
+
+    def _terminal_value(self, state, path, node: str) -> float:
+        return 0.0
+
+    def _stops(self, state: tuple[int, int], node: str, t: int):
+        e, a = state
+        if t >= a and t + (e - 1) * self.delta <= self.horizon:
+            return ((self.d - e, self.y[node], (e - 1, t + self.delta) if e > 1 else (0, 0)),)
+        return ()
+
+    def _carry(self, state: tuple[int, int], t: int):
+        e, a = state
+        a = max(a, t)
+        return (e, a) if a + (e - 1) * self.delta <= self.horizon else None
