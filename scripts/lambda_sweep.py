@@ -46,13 +46,10 @@ def main() -> int:
     print(f"value {value:.6g}   earliest optimal stop at {sorted(earliest.stop_set)}")
     print(f"threshold {lam0:.6g}\n")
     print(f"{'lambda':>8}  {'bound':>10}  {'attained':>10}  {'slack':>10}  {'mean stop':>9}  nodes")
-    leaves = tuple(model.leaves_below(start))
     for lam in (float(s) for s in args.grid.split(",") if s.strip()):
         rule = lambda_stop(sol, start, lam)
         attained = stopping_time_value(rule, x, start)
-        mean_stop = sum(
-            model.cond_prob(start, leaf) * rule.stop_time_on_path(leaf) for leaf in leaves
-        )
+        mean_stop = sum(w * t for _, _, w, (t,) in model.leaf_paths(start, (rule.stop_set,)))
         print(
             f"{lam:>8.3g}  {lam * value:>10.6g}  {attained:>10.6g}"
             f"  {attained - lam * value:>10.6g}  {mean_stop:>9.3f}  {sorted(rule.stop_set)}"

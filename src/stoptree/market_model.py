@@ -12,7 +12,7 @@ import hashlib
 import json
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 EPS_PROB = 1e-12
@@ -111,12 +111,7 @@ class TreeModel:
 
     def is_ancestor_or_self(self, anc: str, node_id: str) -> bool:
         ta = self.time(anc)
-        cur: str | None = node_id
-        while cur is not None and self.time(cur) >= ta:
-            if cur == anc:
-                return True
-            cur = self.node(cur).parent
-        return False
+        return self.path_to(node_id)[ta:ta + 1] == (anc,)
 
     def subtree_ids(self, node_id: str) -> Iterator[str]:
         """Preorder iteration over the subtree rooted at ``node_id`` (inclusive)."""
@@ -126,6 +121,30 @@ class TreeModel:
         for nid in self._walk_preorder(node_id):
             if not self._nodes[nid].children:
                 yield nid
+
+    def leaf_paths(
+        self, start: str, stop_sets: Sequence[frozenset[str]] = ()
+    ) -> Iterator[tuple[str, tuple[str, ...], float, tuple[int | None, ...]]]:
+        """One preorder walk below ``start``: per leaf, in ``leaves_below`` order,
+        ``(leaf, root path, P(leaf | start), times)``, where ``times`` holds the
+        time of the first node of each stop set on the root path (``None`` if
+        there is none). The weight is multiplied top-down, as in ``_validate``.
+        """
+        path = list(self.path_to(start))[:-1]
+        times = tuple(next((t for t, nid in enumerate(path) if nid in s), None) for s in stop_sets)
+        stack = [(start, 1.0, times)]
+        while stack:
+            nid, p, times = stack.pop()
+            node = self._nodes[nid]
+            del path[node.time:]
+            path.append(nid)
+            if None in times:
+                times = tuple(node.time if ti is None and nid in s else ti
+                              for ti, s in zip(times, stop_sets))
+            if not node.children:
+                yield nid, tuple(path), p, times
+            for cid, pc in reversed(node.children):
+                stack.append((cid, p * pc, times))
 
     def edge_prob(self, parent_id: str, child_id: str) -> float:
         for cid, p in self.children(parent_id):
@@ -417,9 +436,10 @@ class StoppingTime:
 
     def stop_node_on_path(self, leaf: str) -> str:
         """The unique stop node on the path from ``start`` through ``leaf``."""
-        if not self.model.is_ancestor_or_self(self.start, leaf):
+        path, t0 = self.model.path_to(leaf), self.model.time(self.start)
+        if path[t0:t0 + 1] != (self.start,):
             raise ValueError(f"{leaf!r} is not below start node {self.start!r}")
-        for nid in self.model.path_to(leaf):
+        for nid in path[t0:]:
             if nid in self.stop_set:
                 return nid
         raise AssertionError("exact cut violated")  # unreachable after validation
@@ -491,8 +511,21 @@ class MultiReward:
     @classmethod
     def from_table(cls, d: int, table: Mapping[tuple[str, tuple[int, ...]], float],
                    symmetric: bool = False) -> "MultiReward":
-        """General reward given as rows ``(node id at max(times), times) -> value``."""
+        """General reward given as rows ``(node id at max(times), times) -> value``.
+
+        With ``symmetric=True`` every permutation of a row's times must be a
+        row of the same value; a :class:`ValueError` names the first row that
+        breaks this.
+        """
         frozen = {(nid, tuple(ts)): float(v) for (nid, ts), v in table.items()}
+        if symmetric:
+            for (nid, ts), v in frozen.items():
+                for perm in permutations(ts):
+                    if frozen.get((nid, perm)) != v:
+                        raise ValueError(
+                            f"reward table marked symmetric, but row ({nid!r}, {ts}) = {v!r} "
+                            f"and row ({nid!r}, {perm}) = {frozen.get((nid, perm), 'missing')!r}"
+                        )
 
         def fn(path: tuple[str, ...], times: tuple[int, ...]) -> float:
             key = (path[max(times)], times)
@@ -527,10 +560,11 @@ def stopping_time_value(tau: StoppingTime, x: NodeProcess, at: str) -> float:
     model = tau.model
     if x.model is not model:
         raise ValueError("process and stopping time live on different models")
-    if not model.is_ancestor_or_self(tau.start, at):
+    path, t0 = model.path_to(at), model.time(tau.start)
+    if path[t0:t0 + 1] != (tau.start,):
         raise ValueError(f"stopping time starting at {tau.start!r} is not defined on the "
                          f"subtree of {at!r}")
-    for nid in model.path_to(at)[:-1]:
+    for nid in path[t0:-1]:
         if nid in tau.stop_set:
             raise ValueError(f"stopping time already stopped at {nid!r}, above {at!r}")
 
@@ -647,11 +681,11 @@ def instance_fingerprint(model: TreeModel, psi: MultiReward, start: str) -> str:
     h = hashlib.sha256()
     h.update(model.fingerprint().encode())
     h.update(f"|d={psi.d}|structure={psi.structure}|symmetric={psi.symmetric}|start={start}".encode())
-    leaves = sorted(model.leaves_below(start))[:16]
+    paths = {leaf: path for leaf, path, _, _ in model.leaf_paths(start)}
     t0 = model.time(start)
-    for leaf in leaves:
-        path = model.path_to(leaf)
-        t_leaf = model.time(leaf)
+    for leaf in sorted(paths)[:16]:
+        path = paths[leaf]
+        t_leaf = len(path) - 1
         patterns = [
             tuple(t_leaf for _ in range(psi.d)),
             tuple(t0 for _ in range(psi.d)),

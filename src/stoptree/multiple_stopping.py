@@ -70,8 +70,9 @@ class MultiStoppingTuple:
     def start(self) -> str:
         return self.components[0].start
 
-    def stop_nodes_on_path(self, leaf: str) -> tuple[str, ...]:
-        return tuple(tau.stop_node_on_path(leaf) for tau in self.components)
+    @property
+    def stop_sets(self) -> tuple[frozenset[str], ...]:
+        return tuple(tau.stop_set for tau in self.components)
 
     def times_on_path(self, leaf: str) -> tuple[int, ...]:
         return tuple(tau.stop_time_on_path(leaf) for tau in self.components)
@@ -81,12 +82,9 @@ def tuple_value(tup: MultiStoppingTuple, psi: MultiReward) -> float:
     """E[ψ(τ₁,…,τ_d)] from the tuple's start node, summed leaf by leaf."""
     if psi.d != tup.d:
         raise ValueError(f"reward has {psi.d} slots, tuple has {tup.d}")
-    model = tup.model
     total = 0.0
-    for leaf in model.leaves_below(tup.start):
-        total += model.cond_prob(tup.start, leaf) * psi.evaluate(
-            model.path_to(leaf), tup.times_on_path(leaf)
-        )
+    for _, path, weight, times in tup.model.leaf_paths(tup.start, tup.stop_sets):
+        total += weight * psi.evaluate(path, times)
     return total
 
 
@@ -370,8 +368,8 @@ def solve_multi(
         raise AssertionError(
             f"assembled tuple attains {attained!r}, backward value is {value!r}"
         )
-    for leaf in model.leaves_below(start):
-        if min(tup.times_on_path(leaf)) != theta.stop_time_on_path(leaf):
+    for leaf, _, _, times in model.leaf_paths(start, (*tup.stop_sets, theta.stop_set)):
+        if min(times[:-1]) != times[-1]:
             raise AssertionError(
                 f"earliest component stop disagrees with the reduced rule on path to {leaf!r}"
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .market_model import (
     CapExceededError,
@@ -69,26 +70,6 @@ def brute_force_value(
         raise ValueError(f"unknown start node {start!r}")
     t_begin = time.perf_counter()
 
-    leaves = tuple(model.leaves_below(start))
-    paths = {leaf: model.path_to(leaf) for leaf in leaves}
-    weights = {leaf: model.cond_prob(start, leaf) for leaf in leaves}
-
-    def cut_times(cut: frozenset[str]) -> dict[str, int]:
-        out = {}
-        for leaf in leaves:
-            for nid in paths[leaf]:
-                if nid in cut:
-                    out[leaf] = model.time(nid)
-                    break
-        return out
-
-    def evaluate(per_component_times: tuple[dict[str, int], ...]) -> float:
-        total = 0.0
-        for leaf in leaves:
-            times = tuple(m[leaf] for m in per_component_times)
-            total += weights[leaf] * psi.evaluate(paths[leaf], times)
-        return total
-
     if min_gap is None:
         total_count = count_stopping_times(model, start) ** psi.d
         constraint = "none"
@@ -107,21 +88,29 @@ def brute_force_value(
             count=total_count,
         )
 
+    if min_gap is None:
+        cuts = all_cuts(model, start)
+    else:  # number the distinct cuts; a tuple is a combination of cut numbers
+        index: dict[frozenset[str], int] = {}
+        combos = [tuple(index.setdefault(c, len(index)) for c in combo)
+                  for combo in _ordered_cuts(model, start, psi.d, min_gap)]
+        cuts = list(index)
+    leaves = tuple(model.leaf_paths(start, cuts))
+
     def tuples():
-        if min_gap is None:
-            cuts = all_cuts(model, start)
-            maps = [cut_times(c) for c in cuts]
-            for combo in product(range(len(cuts)), repeat=psi.d):
-                yield tuple(cuts[i] for i in combo), tuple(maps[i] for i in combo)
-        else:
-            for combo in _ordered_cuts(model, start, psi.d, min_gap):
-                yield combo, tuple(cut_times(c) for c in combo)
+        return product(range(len(cuts)), repeat=psi.d) if min_gap is None else combos
+
+    def evaluate(combo: tuple[int, ...]) -> float:
+        total = 0.0
+        for _, path, weight, times in leaves:
+            total += weight * psi.evaluate(path, tuple(times[i] for i in combo))
+        return total
 
     def scan():
         best = None
         seen = 0
-        for _, time_maps in tuples():
-            val = evaluate(time_maps)
+        for combo in tuples():
+            val = evaluate(combo)
             if best is None or val > best:
                 best = val
             seen += 1
@@ -137,12 +126,10 @@ def brute_force_value(
 
     winners: list[MultiStoppingTuple] = []
     rescanned = 0
-    for cut_combo, time_maps in tuples():
-        if evaluate(time_maps) >= value - eps:
+    for combo in tuples():
+        if evaluate(combo) >= value - eps:
             winners.append(
-                MultiStoppingTuple(
-                    tuple(StoppingTime(model, start, c) for c in cut_combo)
-                )
+                MultiStoppingTuple(tuple(StoppingTime(model, start, cuts[i]) for i in combo))
             )
         rescanned += 1
         if rescanned % 1024 == 0 and time.perf_counter() - t_begin > 4 * time_budget:
@@ -165,45 +152,60 @@ def brute_force_value(
     )
 
 
+def _ordered_fold(model: TreeModel, start: str, d: int, gap: int, unit, zero, stop, join):
+    """Fold the ordered-tuple recurrence over the states reachable from ``start``.
+
+    A state ``(k, a)`` at node n leaves k components to place, none before
+    time a (raised to n's own time t). With F(n, 0, a) = ``unit``,
+    F(n, k, a) = ``stop(n, F(n, k - 1, t + gap))`` if a == t, else ``zero``,
+    plus ``join([F(c, k, a) per child c], k)`` if n has children. A forward
+    pass collects the reachable states, a backward pass folds them bottom-up.
+    """
+    order = tuple(model.subtree_ids(start))
+    reach = {start: {(d, model.time(start))}}
+    for nid in order:
+        t, states = model.time(nid), reach[nid]
+        for k in range(d, 0, -1):  # a stop leads to a state of lower k at the same node
+            for a in [a for kk, a in states if kk == k]:
+                if a == t:
+                    states.add((k - 1, t + gap))
+                for cid, _ in model.children(nid):
+                    reach.setdefault(cid, set()).add((k, max(a, t + 1)))
+    folded: dict[str, dict[tuple[int, int], object]] = {}
+    for nid in reversed(order):  # children before their parent
+        t, kids = model.time(nid), model.children(nid)
+        out: dict[tuple[int, int], object] = {}
+        for k, a in sorted(reach.pop(nid)):  # lower k first
+            if k == 0:
+                out[k, a] = unit
+                continue
+            value = stop(nid, out[k - 1, t + gap]) if a == t else zero
+            if kids:
+                value = value + join([folded[cid][k, max(a, t + 1)] for cid, _ in kids], k)
+            out[k, a] = value
+        for cid, _ in kids:
+            del folded[cid]
+        folded[nid] = out
+    return folded[start][d, model.time(start)]
+
+
 def _count_ordered(model: TreeModel, start: str, d: int, gap: int) -> int:
-    def rec(nid: str, k: int, a: int) -> int:
-        if k == 0:
-            return 1
-        total = 0
-        if model.time(nid) >= a:
-            total += rec(nid, k - 1, model.time(nid) + gap)
-        kids = model.children(nid)
-        if kids:
-            prod_count = 1
-            for cid, _ in kids:
-                prod_count *= rec(cid, k, a)
-            total += prod_count
-        return total
-
-    return rec(start, d, model.time(start))
+    return _ordered_fold(model, start, d, gap, 1, 0, lambda nid, rest: rest,
+                         lambda parts, k: prod(parts))
 
 
-def _ordered_cuts(model: TreeModel, start: str, d: int, gap: int):
-    """Yield ordered d-tuples of cuts with pathwise gaps >= ``gap``, deterministically."""
+def _ordered_cuts(model: TreeModel, start: str, d: int, gap: int) -> list[tuple[frozenset[str], ...]]:
+    """Every ordered d-tuple of cuts with pathwise gaps >= ``gap``: stopping at a
+    node first, then child combinations with the first child varying slowest."""
 
-    def rec(nid: str, k: int, a: int) -> list[tuple[frozenset[str], ...]]:
-        if k == 0:
-            return [()]
-        out: list[tuple[frozenset[str], ...]] = []
-        if model.time(nid) >= a:
-            for rest in rec(nid, k - 1, model.time(nid) + gap):
-                out.append((frozenset((nid,)),) + rest)
-        kids = model.children(nid)
-        if kids:
-            per_child = [rec(cid, k, a) for cid, _ in kids]
-            for combo in product(*per_child):
-                merged = tuple(
-                    frozenset().union(*(part[j] for part in combo)) for j in range(k)
-                )
-                out.append(merged)
-        return out
+    def stop(nid: str, rest):
+        return [(frozenset((nid,)),) + r for r in rest]
 
-    yield from rec(start, d, model.time(start))
+    def join(parts, k: int):
+        return [tuple(frozenset().union(*(part[j] for part in combo)) for j in range(k))
+                for combo in product(*parts)]
+
+    return _ordered_fold(model, start, d, gap, [()], [], stop, join)
 
 
 def tuple_order_below(a, b) -> bool:
@@ -230,17 +232,18 @@ def tuple_order_below(a, b) -> bool:
 
 
 def order_violations(
-    candidate: MultiStoppingTuple, others, leaves
+    candidate: MultiStoppingTuple, others
 ) -> tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]:
     """The first 20 (leaf, candidate times, other times) triples where
     ``candidate`` is not below-or-equal a tuple of ``others`` on the path to a leaf."""
-    mine = {leaf: candidate.times_on_path(leaf) for leaf in leaves}
+    model, d = candidate.model, candidate.d
     violations = []
     for other in others:
-        for leaf in leaves:
-            theirs = other.times_on_path(leaf)
-            if not tuple_order_below(mine[leaf], theirs):
-                violations.append((leaf, mine[leaf], theirs))
+        for leaf, _, _, times in model.leaf_paths(candidate.start,
+                                                  candidate.stop_sets + other.stop_sets):
+            mine, theirs = times[:d], times[d:]
+            if not tuple_order_below(mine, theirs):
+                violations.append((leaf, mine, theirs))
                 if len(violations) >= 20:
                     return tuple(violations)
     return tuple(violations)
@@ -294,9 +297,7 @@ def verify_minimal_optimal(
     )
     cand_val = tuple_value(candidate, psi)
     candidate_optimal = abs(cand_val - report.value) <= eps
-    violations = order_violations(
-        candidate, report.optimal_tuples, tuple(model.leaves_below(start))
-    )
+    violations = order_violations(candidate, report.optimal_tuples)
     return MinimalityReport(
         candidate_value=cand_val,
         oracle_value=report.value,
@@ -348,11 +349,7 @@ def certify(report: SolveReport, oracle_report: OracleReport, *, eps: float = EP
     value_ok = delta <= eps
     attained = tuple_value(report.stopping_tuple, report.reward)
     tuple_attains = abs(attained - oracle_report.value) <= eps
-    violations = order_violations(
-        report.stopping_tuple,
-        oracle_report.optimal_tuples,
-        tuple(report.model.leaves_below(report.start)),
-    )
+    violations = order_violations(report.stopping_tuple, oracle_report.optimal_tuples)
     minimal = not violations
 
     return CertificationVerdict(

@@ -145,8 +145,8 @@ def check_optimality(
         stack.extend(cid for cid, _ in model.children(nid))
 
     total = 0.0
-    for leaf in model.leaves_below(start):
-        total += model.cond_prob(start, leaf) * sol.reward[tau.stop_node_on_path(leaf)]
+    for _, path, weight, (t,) in model.leaf_paths(start, (tau.stop_set,)):
+        total += weight * sol.reward[path[t]]
     b3 = abs(total - sol.value[start]) <= eps
 
     return CriteriumReport(

@@ -155,16 +155,14 @@ def swing_solve(
 
     exercise_times: dict[str, tuple[int, ...]] = {}
     attained = 0.0
-    for leaf in model.leaves_below(start):
-        nodes = components.stop_nodes_on_path(leaf)
-        times = tuple(model.time(nid) for nid in nodes)
+    for leaf, path, weight, times in model.leaf_paths(start, components.stop_sets):
         for k in range(d - 1):
             if times[k + 1] - times[k] < delta:
                 raise AssertionError(
                     f"exercise schedule {times} on path to {leaf!r} violates the gap {delta}"
                 )
         exercise_times[leaf] = times
-        attained += model.cond_prob(start, leaf) * sum(y[nid] for nid in nodes)
+        attained += weight * sum(y[path[t]] for t in times)
     if abs(attained - value) > eps:
         raise AssertionError(f"exercise schedule attains {attained!r}, value is {value!r}")
 

@@ -139,6 +139,18 @@ def test_exit_parse_on_incomplete_table(tmp_path):
     assert "misses" in report["message"]
 
 
+def test_exit_parse_on_asymmetric_table_marked_symmetric(tmp_path):
+    doc = json.loads(Path(TABLE_D2).read_text())
+    doc["symmetric"] = True
+    marked = tmp_path / "marked.json"
+    marked.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["symmetric", "--model", DEPTH2, "--d", "2",
+                 "--reward", f"table:{marked}", "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert "marked symmetric" in json.loads(out.read_text())["message"]
+
+
 def test_exit_infeasible():
     code, report = run(RunConfig(mode="swing", model_path=DEPTH2, d=2, delta=3))
     assert code == EXIT_INFEASIBLE

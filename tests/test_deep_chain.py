@@ -11,7 +11,16 @@ import random
 
 import pytest
 
-from stoptree import MultiReward, NodeProcess, build_tree_from_spec, solve_multi, swing_solve
+from stoptree import (
+    MultiReward,
+    MultiStoppingTuple,
+    NodeProcess,
+    StoppingTime,
+    build_tree_from_spec,
+    solve_multi,
+    swing_solve,
+    tuple_value,
+)
 from stoptree.cli import EXIT_OK, main
 
 HORIZON = 10_000
@@ -60,3 +69,10 @@ def test_additive_d1_on_deep_chain(chain):
     model, y = chain
     rep = solve_multi(model, MultiReward.additive(y, 1), model.root)
     assert rep.value == max(y.values.values())
+
+
+def test_tuple_value_on_deep_chain(chain):
+    model, y = chain
+    stops = ("c17", f"c{HORIZON}")
+    tup = MultiStoppingTuple(tuple(StoppingTime(model, model.root, {nid}) for nid in stops))
+    assert tuple_value(tup, MultiReward.additive(y, 2)) == y["c17"] + y[f"c{HORIZON}"]

@@ -24,7 +24,7 @@ from stoptree import (
     load_model,
     stopping_time_value,
 )
-from tests.conftest import make_binary_tree, make_process
+from tests.conftest import FIXTURES, make_binary_tree, make_process, sample_cut
 
 
 def _spec(horizon, rows):
@@ -410,3 +410,38 @@ def test_random_process_generator_is_exact():
     # dyadic probabilities times integers stay exact: summing path probs gives 1
     assert sum(model.path_prob(leaf) for leaf in model.leaves_below("n0")) == 1.0
     assert all(float(x[nid]).is_integer() for nid in model.node_ids())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_leaf_paths_match_per_leaf_queries(seed):
+    rng = random.Random(4_200 + seed)
+    model = make_binary_tree(rng, 1 + seed % 4)
+    for start in model.node_ids():
+        taus = [sample_cut(rng, model, start) for _ in range(3)]
+        expected = [
+            (leaf, model.path_to(leaf), model.cond_prob(start, leaf),
+             tuple(tau.stop_time_on_path(leaf) for tau in taus))
+            for leaf in model.leaves_below(start)
+        ]
+        assert list(model.leaf_paths(start, [tau.stop_set for tau in taus])) == expected
+        assert [row[:3] + ((),) for row in expected] == list(model.leaf_paths(start))
+
+
+def test_leaf_paths_times_of_any_node_sets(depth2):
+    model, _ = depth2
+    sets = [frozenset({"n0"}), frozenset({"dd"}), frozenset({"d", "dd"})]
+    rows = list(model.leaf_paths("d", sets))
+    assert [(leaf, times) for leaf, _, _, times in rows] == [("du", (0, None, 1)), ("dd", (0, 2, 1))]
+
+
+def test_symmetric_table_must_be_symmetric():
+    doc = json.loads((FIXTURES / "table_d2.json").read_text())
+    table = {(r["node"], tuple(r["times"])): float(r["value"]) for r in doc["rows"]}
+    assert not MultiReward.from_table(2, table).symmetric
+    with pytest.raises(ValueError, match=r"symmetric.*'u', \(0, 1\)"):
+        MultiReward.from_table(2, table, symmetric=True)
+    sym = {(nid, ts): table[nid, tuple(sorted(ts))] for nid, ts in table}
+    assert MultiReward.from_table(2, sym, symmetric=True).symmetric
+    del sym["u", (1, 0)]
+    with pytest.raises(ValueError, match="missing"):
+        MultiReward.from_table(2, sym, symmetric=True)

@@ -9,7 +9,9 @@ from stoptree import (
     CapExceededError,
     InfeasibleError,
     MultiReward,
+    NodeProcess,
     brute_force_value,
+    build_tree_from_spec,
     certify,
     solve_multi,
 )
@@ -54,6 +56,19 @@ def test_tuple_cap(depth2):
     with pytest.raises(CapExceededError) as err:
         brute_force_value(model, MultiReward.additive(x, 2), "n0", cap_tuples=10)
     assert err.value.count == 25
+
+
+def test_ordered_count_on_deep_chain_hits_cap():
+    horizon = 1500
+    rows = [{"id": "c0", "time": 0}] + [
+        {"id": f"c{t}", "time": t, "parent": f"c{t - 1}", "prob": 1.0}
+        for t in range(1, horizon + 1)
+    ]
+    model = build_tree_from_spec({"horizon": horizon, "nodes": rows})
+    psi = MultiReward.additive(NodeProcess.constant(model, 1.0), 2)
+    with pytest.raises(CapExceededError) as err:
+        brute_force_value(model, psi, "c0", min_gap=1, cap_tuples=10)
+    assert err.value.count == 1_125_750  # pairs t1 < t2 out of 1501 times
 
 
 def test_time_budget():
