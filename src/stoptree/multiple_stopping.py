@@ -109,7 +109,7 @@ class BackwardInduction:
     uses_path = True  # whether terminal values read the root path
     _rank = staticmethod(len)
 
-    def __init__(self, model: TreeModel, d: int, cap_states: int | None):
+    def __init__(self, model: TreeModel, d: int, cap_states: int):
         self.model, self.d, self.cap_states = model, d, cap_states
         self._values: dict[str, dict] = {}
         self._count = 0
@@ -184,7 +184,7 @@ class BackwardInduction:
                     if c is not None:
                         carried.append(c)
             count += len(new)
-            if cap is not None and count > cap:
+            if count > cap:
                 raise CapExceededError(f"{self.label} exceeded its budget of {cap} states",
                                        count=count)
             if new:

@@ -1,11 +1,13 @@
 """Brute-force enumeration oracle and certification against it.
 
 This module deliberately shares no optimization logic with the solvers: it
-enumerates stopping tuples outright, evaluates each one leaf by leaf, and
-keeps every maximizer. Slow by design, trustworthy by construction — its
-purpose is to certify the backward-induction results on small instances.
-The d-fold order on stop-time vectors, and the pathwise-minimality check
-built on it, live here too.
+enumerates every stopping tuple outright, values each one as a sum over the
+leaves in one fixed order, and keeps every maximizer. The only thing it
+caches is each leaf's term weight · ψ per stop-time vector, so ψ runs once
+per distinct (leaf, stop-time vector) while the work still grows with the
+number of tuples; its purpose is to certify the backward-induction results
+on small instances. The d-fold order on stop-time vectors, and the
+pathwise-minimality check built on it, live here too.
 """
 from __future__ import annotations
 
@@ -95,56 +97,58 @@ def brute_force_value(
         combos = [tuple(index.setdefault(c, len(index)) for c in combo)
                   for combo in _ordered_cuts(model, start, psi.d, min_gap)]
         cuts = list(index)
-    leaves = tuple(model.leaf_paths(start, cuts))
-
-    def tuples():
-        return product(range(len(cuts)), repeat=psi.d) if min_gap is None else combos
-
-    def evaluate(combo: tuple[int, ...]) -> float:
-        total = 0.0
-        for _, path, weight, times in leaves:
-            total += weight * psi.evaluate(path, tuple(times[i] for i in combo))
-        return total
-
-    def scan():
-        best = None
-        seen = 0
-        for combo in tuples():
-            val = evaluate(combo)
-            if best is None or val > best:
-                best = val
-            seen += 1
-            if seen % 1024 == 0 and time.perf_counter() - t_begin > time_budget:
-                raise CapExceededError(
-                    f"oracle ran past its {time_budget}s budget after {seen} tuples",
-                    count=seen,
-                )
-        return best, seen
-
-    value, enumerated = scan()
-    assert value is not None
-
-    winners: list[MultiStoppingTuple] = []
-    rescanned = 0
-    for combo in tuples():
-        if evaluate(combo) >= value - eps:
-            winners.append(
-                MultiStoppingTuple(tuple(StoppingTime(model, start, cuts[i]) for i in combo))
-            )
-        rescanned += 1
-        if rescanned % 1024 == 0 and time.perf_counter() - t_begin > 4 * time_budget:
+    # per leaf: its path, P(leaf | start), the stop time of each cut on the
+    # path, and weight * psi per stop-time vector, filled on first use
+    leaves = [(path, weight, times, {})
+              for _, path, weight, times in model.leaf_paths(start, cuts)]
+    # One pass: ``kept`` holds, in enumeration order, every (combo, value)
+    # pair that was within eps of the running best when it was seen. The
+    # best only rises, so a pair that falls below it never returns. Pairs
+    # that fell below are dropped once ``kept`` has doubled since the last
+    # drop, which keeps the pass linear, and once more at the end.
+    best = None
+    kept: list[tuple[tuple[int, ...], float]] = []
+    prune_at = 0
+    seen = 0
+    for combo in product(range(len(cuts)), repeat=psi.d) if min_gap is None else combos:
+        val = 0.0
+        for path, weight, times, terms in leaves:
+            key = tuple([times[i] for i in combo])
+            term = terms.get(key)
+            if term is None:
+                term = terms[key] = weight * psi.evaluate(path, key)
+            val += term
+        if best is None or val > best:
+            best = val
+            if len(kept) >= prune_at:
+                kept = [kv for kv in kept if kv[1] >= best - eps]
+                prune_at = 2 * len(kept)
+        if val >= best - eps:
+            kept.append((combo, val))
+        seen += 1
+        if seen % 1024 == 0 and time.perf_counter() - t_begin > time_budget:
             raise CapExceededError(
-                f"oracle ran past its collection budget after {rescanned} tuples",
-                count=rescanned,
+                f"oracle ran past its {time_budget}s budget after {seen} tuples",
+                count=seen,
             )
+    assert best is not None
+    kept = [kv for kv in kept if kv[1] >= best - eps]
+
+    rules: dict[int, StoppingTime] = {}  # one validated StoppingTime per cut
+    winners = []
+    for combo, _ in kept:
+        for i in combo:
+            if i not in rules:
+                rules[i] = StoppingTime(model, start, cuts[i])
+        winners.append(MultiStoppingTuple(tuple(rules[i] for i in combo)))
 
     return OracleReport(
         model=model,
         reward=psi,
         start=start,
-        value=value,
+        value=best,
         optimal_tuples=tuple(winners),
-        enumerated_count=enumerated,
+        enumerated_count=seen,
         elapsed=time.perf_counter() - t_begin,
         instance_hash=instance_fingerprint(model, psi, start),
         constraint=constraint,
@@ -345,6 +349,11 @@ def certify(report: SolveReport, oracle_report: OracleReport, *, eps: float = EP
     """
     if report.instance_hash != oracle_report.instance_hash:
         raise ValueError("solver and oracle reports describe different instances")
+    if oracle_report.min_gap is not None:
+        raise ValueError(
+            f"oracle report was enumerated under the constraint {oracle_report.constraint!r}; "
+            "certify needs an unconstrained one"
+        )
     delta = abs(report.value - oracle_report.value)
     value_ok = delta <= eps
     attained = tuple_value(report.stopping_tuple, report.reward)

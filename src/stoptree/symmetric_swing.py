@@ -116,7 +116,8 @@ def swing_solve(
     exercise times at least ``delta`` apart, everything inside the horizon.
 
     Raises :class:`InfeasibleError` when the d rights cannot fit between the
-    start time and the horizon.
+    start time and the horizon, and :class:`CapExceededError` when the value
+    table would hold more than ``DEFAULT_STATE_CAP`` (node, state) pairs.
     """
     if y.model is not model:
         raise ValueError("payoff process lives on a different model")
@@ -184,10 +185,11 @@ class _Swing(BackwardInduction):
     """States: ``(rights left, earliest time of the next right)``, the time
     raised to the node's own; every state without rights is ``(0, 0)``."""
 
+    label = "swing value table"
     uses_path = False
 
     def __init__(self, model: TreeModel, y: NodeProcess, d: int, delta: int):
-        super().__init__(model, d, None)
+        super().__init__(model, d, DEFAULT_STATE_CAP)
         self.y, self.delta, self.horizon = y, delta, model.horizon
 
     def _rank(self, state: tuple[int, int]) -> int:

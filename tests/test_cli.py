@@ -163,6 +163,14 @@ def test_exit_cap():
     assert report["error"] == "cap-exceeded"
 
 
+def test_exit_cap_on_swing_state_budget(monkeypatch):
+    monkeypatch.setattr("stoptree.symmetric_swing.DEFAULT_STATE_CAP", 5)
+    code, report = run(RunConfig(mode="swing", model_path=DEPTH2, d=2, delta=1))
+    assert code == EXIT_CAP
+    assert report["error"] == "cap-exceeded"
+    assert "swing value table exceeded its budget of 5 states" in report["message"]
+
+
 def test_lambda_flag_parsing(capsys):
     assert main(["single", "--model", DEPTH2, "--lambda", "0.5,oops"]) == EXIT_PARSE
     code = main(["single", "--model", DEPTH2, "--lambda", "0.5,0.9"])

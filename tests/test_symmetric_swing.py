@@ -6,6 +6,7 @@ import random
 import pytest
 
 from stoptree import (
+    CapExceededError,
     InfeasibleError,
     MultiReward,
     NodeProcess,
@@ -116,6 +117,16 @@ def test_swing_infeasible(depth2):
         swing_solve(model, x, 4, 1, "n0")
     with pytest.raises(InfeasibleError):
         swing_solve(model, x, 2, 2, "u")  # start at time 1, gap 2 over horizon 2
+
+
+def test_swing_state_cap(depth2, monkeypatch):
+    model, x = depth2
+    monkeypatch.setattr("stoptree.symmetric_swing.DEFAULT_STATE_CAP", 5)
+    with pytest.raises(CapExceededError, match="swing value table exceeded its budget of 5 states") as err:
+        swing_solve(model, x, 2, 1, "n0")
+    assert err.value.count > 5
+    monkeypatch.setattr("stoptree.symmetric_swing.DEFAULT_STATE_CAP", 20)
+    assert swing_solve(model, x, 2, 1, "n0").value == 3.5
 
 
 def test_swing_validation(depth2):
