@@ -4,8 +4,9 @@ One executable, five modes::
 
     solve single|multi|symmetric|swing|certify --model FILE [options]
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 infeasible
-instance, 4 enumeration/state budget exceeded, 5 certification failed.
+Exit codes: 0 success, 1 report not writable, 2 unreadable or malformed
+input, 3 infeasible instance, 4 enumeration/state budget exceeded, 5
+certification failed.
 Machine formats (json, csv) carry floats at full round-trip precision;
 the text format rounds to 6 significant digits.
 """
@@ -167,15 +168,17 @@ def _resolve_multi_reward(
 def _load_table_reward(path: Path, model: TreeModel, d: int) -> MultiReward:
     """Load a general reward table (d <= 2) and check it covers every reachable row."""
     doc = json.loads(path.read_text())
-    table_d = int(doc["d"])
+    try:
+        table_d = int(doc["d"])
+        symmetric = bool(doc.get("symmetric", False))
+        table = {(str(row["node"]), tuple(int(t) for t in row["times"])): float(row["value"])
+                 for row in doc["rows"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed reward table {str(path)!r}: {exc}") from exc
     if table_d != d:
         raise ValueError(f"reward table is for d={table_d}, request says d={d}")
     if table_d > 2:
         raise ValueError("reward tables support d <= 2 only")
-    symmetric = bool(doc.get("symmetric", False))
-    table: dict[tuple[str, tuple[int, ...]], float] = {}
-    for row in doc["rows"]:
-        table[(str(row["node"]), tuple(int(t) for t in row["times"]))] = float(row["value"])
     for nid in model.node_ids():
         t = model.time(nid)
         if table_d == 1:
@@ -234,13 +237,6 @@ def _run_multi(config, model, processes, start):
     psi = _resolve_multi_reward(config, model, processes, d)
     rep = solve_multi(model, psi, start, eps=config.eps)
     report = _base_report(config, model, start)
-    commit_tables = []
-    for i in range(d):
-        vals = {
-            nid: rep.nested.residual_value(((i, model.time(nid)),), nid)
-            for nid in model.node_ids()
-        }
-        commit_tables.append(_value_table(model, vals))
     report.update(
         d=d,
         value=rep.value,
@@ -249,7 +245,7 @@ def _run_multi(config, model, processes, start):
         supermartingale_slack=rep.diagnostics["supermartingale_slack"],
         new_reward_table=_value_table(model, rep.new_reward_process),
         reduced_value_table=_value_table(model, rep.snell.value),
-        commit_value_tables=commit_tables,
+        commit_value_tables=[_value_table(model, u) for u in rep.commit_values],
         component_stop_nodes=[
             sorted(tau.stop_set) for tau in rep.stopping_tuple.components
         ],
@@ -435,7 +431,11 @@ def main(argv=None) -> int:
     code, report = run(config)
     text = emit_report(report, config.fmt)
     if config.out:
-        Path(config.out).write_text(text)
+        try:
+            Path(config.out).write_text(text)
+        except OSError as exc:
+            print(f"cannot write report to {config.out!r}: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     else:
         sys.stdout.write(text)
     return code

@@ -454,20 +454,16 @@ class MultiReward:
 
     ``fn`` receives the root-to-node path truncated at ``max(times)`` plus the
     times vector, which is exactly what measurability at the latest stop allows
-    it to see. ``structure`` is one of ``"general"``, ``"additive"`` or
-    ``"symmetric-general"``.
+    it to see.
     """
 
     d: int
     fn: Callable[[tuple[str, ...], tuple[int, ...]], float]
     symmetric: bool = False
-    structure: str = "general"
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.structure not in ("general", "additive", "symmetric-general"):
-            raise ValueError(f"unknown reward structure {self.structure!r}")
 
     def evaluate(self, path: Sequence[str], times: Sequence[int]) -> float:
         times = tuple(int(t) for t in times)
@@ -490,7 +486,7 @@ class MultiReward:
         def fn(path: tuple[str, ...], times: tuple[int, ...]) -> float:
             return sum(y[path[t]] for t in times)
 
-        return cls(d=d, fn=fn, symmetric=True, structure="additive")
+        return cls(d=d, fn=fn, symmetric=True)
 
     @classmethod
     def multiplicative(cls, y: NodeProcess, d: int) -> "MultiReward":
@@ -502,11 +498,11 @@ class MultiReward:
                 out *= y[path[t]]
             return out
 
-        return cls(d=d, fn=fn, symmetric=True, structure="symmetric-general")
+        return cls(d=d, fn=fn, symmetric=True)
 
     @classmethod
     def zero(cls, d: int) -> "MultiReward":
-        return cls(d=d, fn=lambda path, times: 0.0, symmetric=True, structure="symmetric-general")
+        return cls(d=d, fn=lambda path, times: 0.0, symmetric=True)
 
     @classmethod
     def from_table(cls, d: int, table: Mapping[tuple[str, tuple[int, ...]], float],
@@ -534,14 +530,12 @@ class MultiReward:
             except KeyError:
                 raise KeyError(f"reward table has no row for node {key[0]!r} at times {times}") from None
 
-        return cls(d=d, fn=fn, symmetric=symmetric,
-                   structure="symmetric-general" if symmetric else "general")
+        return cls(d=d, fn=fn, symmetric=symmetric)
 
     @classmethod
     def from_function(cls, d: int, fn: Callable[[tuple[str, ...], tuple[int, ...]], float],
                       symmetric: bool = False) -> "MultiReward":
-        return cls(d=d, fn=fn, symmetric=symmetric,
-                   structure="symmetric-general" if symmetric else "general")
+        return cls(d=d, fn=fn, symmetric=symmetric)
 
 
 def conditional_expectation(x: NodeProcess, node_id: str) -> float:
@@ -650,8 +644,11 @@ def load_model(source: str | Path | Mapping) -> tuple[TreeModel, dict[str, NodeP
     else:
         raw = source
     model = build_tree_from_spec(raw)
+    named = raw.get("processes", {})
+    if not isinstance(named, Mapping):
+        raise ModelValidationError(f"'processes' must map names to rows, not {type(named).__name__}")
     processes: dict[str, NodeProcess] = {}
-    for name, rows in dict(raw.get("processes", {})).items():
+    for name, rows in named.items():
         try:
             values = {str(r["id"]): float(r["value"]) for r in rows}
         except (KeyError, TypeError, ValueError) as exc:
@@ -680,7 +677,7 @@ def instance_fingerprint(model: TreeModel, psi: MultiReward, start: str) -> str:
     """
     h = hashlib.sha256()
     h.update(model.fingerprint().encode())
-    h.update(f"|d={psi.d}|structure={psi.structure}|symmetric={psi.symmetric}|start={start}".encode())
+    h.update(f"|d={psi.d}|symmetric={psi.symmetric}|start={start}".encode())
     paths = {leaf: path for leaf, path, _, _ in model.leaf_paths(start)}
     t0 = model.time(start)
     for leaf in sorted(paths)[:16]:

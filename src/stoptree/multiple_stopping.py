@@ -103,14 +103,15 @@ class BackwardInduction:
     A query for an untabulated pair fills the table below it: a forward pass
     collects the untabulated states reachable from the pair, node by node in
     level order, and a backward pass from the deepest level up values them.
+    A table holds at most ``DEFAULT_STATE_CAP`` pairs, read when it fills.
     """
 
     label = "value table"
     uses_path = True  # whether terminal values read the root path
     _rank = staticmethod(len)
 
-    def __init__(self, model: TreeModel, d: int, cap_states: int):
-        self.model, self.d, self.cap_states = model, d, cap_states
+    def __init__(self, model: TreeModel, d: int):
+        self.model, self.d = model, d
         self._values: dict[str, dict] = {}
         self._count = 0
 
@@ -157,7 +158,7 @@ class BackwardInduction:
         )
 
     def _fill(self, state, node: str) -> None:
-        model, values, cap, d = self.model, self._values, self.cap_states, self.d
+        model, values, cap, d = self.model, self._values, DEFAULT_STATE_CAP, self.d
         stops, carry, rank = self._stops, self._carry, self._rank
         count = self._count
         levels: list[tuple[str, list, int]] = []
@@ -233,8 +234,8 @@ class NestedValue(BackwardInduction):
 
     label = "nested value table"
 
-    def __init__(self, model: TreeModel, psi: MultiReward, cap_states: int = DEFAULT_STATE_CAP):
-        super().__init__(model, psi.d, cap_states)
+    def __init__(self, model: TreeModel, psi: MultiReward):
+        super().__init__(model, psi.d)
         self.psi = psi
 
     def residual_value(self, fixed: FixedKey, node: str) -> float:
@@ -309,21 +310,14 @@ def new_reward(
     return nested.new_reward(fixed, node)
 
 
-def assemble_optimal_tuple(nested: NestedValue, start: str) -> MultiStoppingTuple:
-    """Unwind the nested values into d explicit stopping rules.
-
-    On every path the walk commits a component at the first node where
-    stopping reaches the residual value, choosing the smallest attaining
-    component index on ties, then continues with the residual problem. The
-    earliest commitment nodes therefore reproduce the earliest optimal stop
-    of the reduced problem.
-    """
-    return nested.extract((), start)
-
-
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything :func:`solve_multi` knows about one solved instance."""
+    """Everything :func:`solve_multi` knows about one solved instance.
+
+    ``commit_values[i]`` is the process u^(i): at each node, the value when
+    component i commits there and the others stay optimal.
+    ``new_reward_process`` is φ = max_i u^(i), and ``snell`` its envelope.
+    """
 
     model: TreeModel
     reward: MultiReward
@@ -332,11 +326,10 @@ class SolveReport:
     value: float
     snell: SnellSolution
     new_reward_process: NodeProcess
+    commit_values: tuple[NodeProcess, ...]
     stopping_tuple: MultiStoppingTuple
-    nested: NestedValue
     diagnostics: dict[str, float] = field(default_factory=dict)
     instance_hash: str = ""
-    oracle_delta: float | None = None
 
 
 def solve_multi(
@@ -344,7 +337,6 @@ def solve_multi(
     psi: MultiReward,
     start: str,
     *,
-    cap_states: int = DEFAULT_STATE_CAP,
     eps: float = EPS_EQ,
 ) -> SolveReport:
     """Solve the d-fold stopping problem exactly from ``start``.
@@ -352,16 +344,23 @@ def solve_multi(
     Returns the value, the reduced single-stopping solution it coincides
     with, and an explicit optimal tuple whose componentwise minimum is the
     earliest optimal stop of the reduced problem (postconditions checked).
+    The tuple replays the table from the empty state; on ties the smallest
+    component index commits first.
     """
     if start not in model:
         raise ValueError(f"unknown start node {start!r}")
-    nested = NestedValue(model, psi, cap_states=cap_states)
+    nested = NestedValue(model, psi)
     value = nested.residual_value((), start)
 
-    phi = NodeProcess(model, {nid: nested.new_reward((), nid) for nid in model.node_ids()})
+    ids = model.node_ids()
+    commit_values = tuple(
+        NodeProcess(model, {nid: nested.value(((i, model.time(nid)),), nid) for nid in ids})
+        for i in range(psi.d)
+    )
+    phi = NodeProcess(model, {nid: max(u[nid] for u in commit_values) for nid in ids})
     snell = snell_solve(phi)
     theta = minimal_optimal_stop(snell, start)
-    tup = assemble_optimal_tuple(nested, start)
+    tup = nested.extract((), start)
 
     attained = tuple_value(tup, psi)
     if abs(attained - value) > eps:
@@ -390,8 +389,8 @@ def solve_multi(
         value=value,
         snell=snell,
         new_reward_process=phi,
+        commit_values=commit_values,
         stopping_tuple=tup,
-        nested=nested,
         diagnostics=diagnostics,
         instance_hash=instance_fingerprint(model, psi, start),
     )

@@ -200,13 +200,19 @@ def _count_ordered(model: TreeModel, start: str, d: int, gap: int) -> int:
 
 def _ordered_cuts(model: TreeModel, start: str, d: int, gap: int) -> list[tuple[frozenset[str], ...]]:
     """Every ordered d-tuple of cuts with pathwise gaps >= ``gap``: stopping at a
-    node first, then child combinations with the first child varying slowest."""
+    node first, then child combinations with the first child varying slowest.
+    Equal cuts share one object, so each distinct cut is held once."""
+    interned: dict[frozenset[str], frozenset[str]] = {}
+
+    def intern(cut: frozenset[str]) -> frozenset[str]:
+        return interned.setdefault(cut, cut)
 
     def stop(nid: str, rest):
-        return [(frozenset((nid,)),) + r for r in rest]
+        single = intern(frozenset((nid,)))
+        return [(single,) + r for r in rest]
 
     def join(parts, k: int):
-        return [tuple(frozenset().union(*(part[j] for part in combo)) for j in range(k))
+        return [tuple(intern(frozenset().union(*(part[j] for part in combo))) for j in range(k))
                 for combo in product(*parts)]
 
     return _ordered_fold(model, start, d, gap, [()], [], stop, join)
@@ -288,17 +294,12 @@ def verify_minimal_optimal(
     start: str,
     candidate: MultiStoppingTuple,
     *,
-    cap_tuples: int | None = None,
-    time_budget: float = 60.0,
     eps: float = EPS_EQ,
 ) -> MinimalityReport:
     """Check by exhaustive enumeration that ``candidate`` is optimal and pathwise
     below-or-equal every optimal tuple. ``violations`` lists up to 20 offending
     (leaf, candidate times, other times) triples."""
-    report = brute_force_value(
-        model, psi, start, time_budget=time_budget, eps=eps,
-        cap_tuples=DEFAULT_TUPLE_CAP if cap_tuples is None else cap_tuples,
-    )
+    report = brute_force_value(model, psi, start, eps=eps)
     cand_val = tuple_value(candidate, psi)
     candidate_optimal = abs(cand_val - report.value) <= eps
     violations = order_violations(candidate, report.optimal_tuples)

@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .market_model import InfeasibleError, MultiReward, NodeProcess, TreeModel
-from .multiple_stopping import (
-    DEFAULT_STATE_CAP,
-    BackwardInduction,
-    MultiStoppingTuple,
-    tuple_value,
-)
+from .multiple_stopping import BackwardInduction, MultiStoppingTuple, tuple_value
 from .single_stopping import EPS_EQ
 
 
@@ -46,7 +41,6 @@ def symmetric_backward(
     psi: MultiReward,
     start: str,
     *,
-    cap_states: int = DEFAULT_STATE_CAP,
     eps: float = EPS_EQ,
 ) -> SymmetricSolution:
     """Solve a symmetric d-fold problem with ordered commitments.
@@ -60,7 +54,7 @@ def symmetric_backward(
         raise ValueError("symmetric_backward needs a symmetric reward")
     if start not in model:
         raise ValueError(f"unknown start node {start!r}")
-    table = _Ordered(model, psi, cap_states)
+    table = _Ordered(model, psi)
     value = table.value((), start)
     tup = table.extract((), start)
     attained = tuple_value(tup, psi)
@@ -76,8 +70,8 @@ class _Ordered(BackwardInduction):
 
     label = "ordered-commitment table"
 
-    def __init__(self, model: TreeModel, psi: MultiReward, cap_states: int):
-        super().__init__(model, psi.d, cap_states)
+    def __init__(self, model: TreeModel, psi: MultiReward):
+        super().__init__(model, psi.d)
         self.psi = psi
 
     def _terminal_value(self, prior: tuple[int, ...], path, node: str) -> float:
@@ -117,7 +111,8 @@ def swing_solve(
 
     Raises :class:`InfeasibleError` when the d rights cannot fit between the
     start time and the horizon, and :class:`CapExceededError` when the value
-    table would hold more than ``DEFAULT_STATE_CAP`` (node, state) pairs.
+    table would hold more than ``multiple_stopping.DEFAULT_STATE_CAP``
+    (node, state) pairs.
     """
     if y.model is not model:
         raise ValueError("payoff process lives on a different model")
@@ -189,7 +184,7 @@ class _Swing(BackwardInduction):
     uses_path = False
 
     def __init__(self, model: TreeModel, y: NodeProcess, d: int, delta: int):
-        super().__init__(model, d, DEFAULT_STATE_CAP)
+        super().__init__(model, d)
         self.y, self.delta, self.horizon = y, delta, model.horizon
 
     def _rank(self, state: tuple[int, int]) -> int:

@@ -138,14 +138,15 @@ def test_criterion_6_first_commit_dominance(reduction_reports, depth2):
     for model, psi, d, rep, orep in reduction_reports:
         if d != 2:
             continue
+        nested = NestedValue(model, psi)
         for tup in orep.optimal_tuples:
             for leaf in model.leaves_below("n0"):
                 t1, t2 = tup.times_on_path(leaf)
                 if t1 > t2:
                     continue
                 m = model.path_to(leaf)[t1]
-                u0 = u_component(model, psi, (), 0, m, rep.nested)
-                u1 = u_component(model, psi, (), 1, m, rep.nested)
+                u0 = u_component(model, psi, (), 0, m, nested)
+                u1 = u_component(model, psi, (), 1, m, nested)
                 assert u1 <= u0 + EPS
     # flat reward: every pair is optimal and the dominance set is every node,
     # with no node strictly dominating — the inclusion is as loose as it gets

@@ -14,6 +14,7 @@ from stoptree import load_model, snell_solve
 from stoptree.cli import (
     EXIT_CAP,
     EXIT_CERTIFY,
+    EXIT_ERROR,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
@@ -151,6 +152,46 @@ def test_exit_parse_on_asymmetric_table_marked_symmetric(tmp_path):
     assert "marked symmetric" in json.loads(out.read_text())["message"]
 
 
+def test_exit_parse_on_null_processes(tmp_path):
+    doc = json.loads(Path(DEPTH2).read_text())
+    doc["processes"] = None
+    bad = tmp_path / "null.json"
+    bad.write_text(json.dumps(doc))
+    code, report = run(RunConfig(mode="single", model_path=str(bad)))
+    assert code == EXIT_PARSE
+    assert "processes" in report["message"]
+
+
+def test_exit_parse_on_table_that_is_a_list(tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps(json.loads(Path(TABLE_D2).read_text())["rows"]))
+    code, report = run(
+        RunConfig(mode="multi", model_path=DEPTH2, d=2, reward=f"table:{listed}")
+    )
+    assert code == EXIT_PARSE
+    assert "malformed reward table" in report["message"]
+
+
+def test_exit_parse_on_table_row_with_scalar_times(tmp_path):
+    doc = json.loads(Path(TABLE_D2).read_text())
+    doc["rows"][0]["times"] = 5
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps(doc))
+    code, report = run(
+        RunConfig(mode="multi", model_path=DEPTH2, d=2, reward=f"table:{scalar}")
+    )
+    assert code == EXIT_PARSE
+    assert "malformed reward table" in report["message"]
+
+
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["single", "--model", DEPTH2, "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "cannot write report" in captured.err
+
+
 def test_exit_infeasible():
     code, report = run(RunConfig(mode="swing", model_path=DEPTH2, d=2, delta=3))
     assert code == EXIT_INFEASIBLE
@@ -164,7 +205,7 @@ def test_exit_cap():
 
 
 def test_exit_cap_on_swing_state_budget(monkeypatch):
-    monkeypatch.setattr("stoptree.symmetric_swing.DEFAULT_STATE_CAP", 5)
+    monkeypatch.setattr("stoptree.multiple_stopping.DEFAULT_STATE_CAP", 5)
     code, report = run(RunConfig(mode="swing", model_path=DEPTH2, d=2, delta=1))
     assert code == EXIT_CAP
     assert report["error"] == "cap-exceeded"

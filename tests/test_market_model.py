@@ -302,7 +302,7 @@ def test_additive_reward(depth2):
     psi = MultiReward.additive(x, 2)
     assert psi.evaluate(model.path_to("du"), (1, 2)) == 7.0  # 3 + 4
     assert psi.evaluate(model.path_to("du"), (2, 2)) == 8.0
-    assert psi.symmetric and psi.structure == "additive"
+    assert psi.symmetric
 
 
 def test_multiplicative_and_zero(depth2):

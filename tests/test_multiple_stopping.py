@@ -93,6 +93,18 @@ def test_table_instance_values(table_d2):
     assert sorted(rep.stopping_tuple.components[1].stop_set) == ["d", "u"]
 
 
+def test_commit_values_are_the_u_processes(reduction_corpus):
+    """u^(i)(n) commits component i at n with the rest free; φ is their max."""
+    for model, psi, d in reduction_corpus:
+        rep = solve_multi(model, psi, "n0")
+        nested = NestedValue(model, psi)
+        assert len(rep.commit_values) == d
+        for n in model.node_ids():
+            for i in range(d):
+                assert rep.commit_values[i][n] == u_component(model, psi, (), i, n, nested)
+            assert rep.new_reward_process[n] == max(u[n] for u in rep.commit_values)
+
+
 def test_d1_reduces_to_single_stopping(depth2):
     model, x = depth2
     rep = solve_multi(model, MultiReward.additive(x, 1), "n0")
@@ -139,12 +151,13 @@ def test_solve_from_inner_node(depth2):
     assert rep.stopping_tuple.start == "d"
 
 
-def test_state_cap():
+def test_state_cap(monkeypatch):
     rng = random.Random(5)
     model = make_binary_tree(rng, 3)
     psi = make_table_reward(rng, model, 3)
+    monkeypatch.setattr("stoptree.multiple_stopping.DEFAULT_STATE_CAP", 10)
     with pytest.raises(CapExceededError):
-        solve_multi(model, psi, "n0", cap_states=10)
+        solve_multi(model, psi, "n0")
 
 
 def test_tuple_container_validation(depth2):

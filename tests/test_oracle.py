@@ -145,6 +145,13 @@ def test_ordered_tuples_respect_gap_pathwise(depth2):
             assert t2 - t1 >= 1
 
 
+@pytest.mark.parametrize("min_gap", [0, 1])
+def test_ordered_cuts_share_one_object_per_cut(min_gap):
+    model = make_binary_tree(random.Random(5), 3)
+    cuts = [cut for tup in _ordered_cuts(model, "n0", 2, min_gap) for cut in tup]
+    assert len({id(cut) for cut in cuts}) == len(set(cuts)) < len(cuts)
+
+
 def test_infeasible_constraint(depth2):
     model, x = depth2
     with pytest.raises(InfeasibleError):

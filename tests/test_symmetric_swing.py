@@ -121,11 +121,11 @@ def test_swing_infeasible(depth2):
 
 def test_swing_state_cap(depth2, monkeypatch):
     model, x = depth2
-    monkeypatch.setattr("stoptree.symmetric_swing.DEFAULT_STATE_CAP", 5)
+    monkeypatch.setattr("stoptree.multiple_stopping.DEFAULT_STATE_CAP", 5)
     with pytest.raises(CapExceededError, match="swing value table exceeded its budget of 5 states") as err:
         swing_solve(model, x, 2, 1, "n0")
     assert err.value.count > 5
-    monkeypatch.setattr("stoptree.symmetric_swing.DEFAULT_STATE_CAP", 20)
+    monkeypatch.setattr("stoptree.multiple_stopping.DEFAULT_STATE_CAP", 20)
     assert swing_solve(model, x, 2, 1, "n0").value == 3.5
 
 
