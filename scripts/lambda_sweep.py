@@ -32,9 +32,17 @@ def main() -> int:
         help="comma list of fractions in (0, 1)",
     )
     args = ap.parse_args()
+    try:
+        grid = [float(s) for s in args.grid.split(",") if s.strip()]
+    except ValueError:
+        ap.error(f"unparseable --grid list {args.grid!r}")
+    if not all(0.0 < lam < 1.0 for lam in grid):
+        ap.error(f"--grid fractions must lie in (0, 1), got {args.grid!r}")
 
     model, processes = load_model(args.model)
     name = args.reward if args.reward is not None else next(iter(processes))
+    if name not in processes:
+        ap.error(f"model defines no process named {name!r}")
     x = processes[name]
     start = args.start if args.start is not None else model.root
     sol = snell_solve(x)
@@ -46,7 +54,7 @@ def main() -> int:
     print(f"value {value:.6g}   earliest optimal stop at {sorted(earliest.stop_set)}")
     print(f"threshold {lam0:.6g}\n")
     print(f"{'lambda':>8}  {'bound':>10}  {'attained':>10}  {'slack':>10}  {'mean stop':>9}  nodes")
-    for lam in (float(s) for s in args.grid.split(",") if s.strip()):
+    for lam in grid:
         rule = lambda_stop(sol, start, lam)
         attained = stopping_time_value(rule, x, start)
         mean_stop = sum(w * t for _, _, w, (t,) in model.leaf_paths(start, (rule.stop_set,)))

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,6 +74,10 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"--eps must be a finite number >= 0, got {self.eps!r}")
+        if self.cap_tuples < 1:
+            raise ValueError(f"--cap-tuples must be >= 1, got {self.cap_tuples!r}")
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
@@ -415,19 +420,23 @@ def main(argv=None) -> int:
     except ValueError:
         print(f"unparseable --lambda list {args.lambdas!r}", file=sys.stderr)
         return EXIT_PARSE
-    config = RunConfig(
-        mode=args.mode,
-        model_path=args.model,
-        start=args.start,
-        reward=args.reward,
-        d=args.d,
-        delta=args.delta,
-        lambdas=lambdas,
-        fmt=args.fmt,
-        out=args.out,
-        cap_tuples=args.cap_tuples,
-        eps=args.eps,
-    )
+    try:
+        config = RunConfig(
+            mode=args.mode,
+            model_path=args.model,
+            start=args.start,
+            reward=args.reward,
+            d=args.d,
+            delta=args.delta,
+            lambdas=lambdas,
+            fmt=args.fmt,
+            out=args.out,
+            cap_tuples=args.cap_tuples,
+            eps=args.eps,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
     code, report = run(config)
     text = emit_report(report, config.fmt)
     if config.out:

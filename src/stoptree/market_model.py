@@ -12,11 +12,10 @@ import hashlib
 import json
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 
 EPS_PROB = 1e-12
-DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
 class ModelValidationError(ValueError):
@@ -90,9 +89,6 @@ class TreeModel:
     def time(self, node_id: str) -> int:
         return self.node(node_id).time
 
-    def parent(self, node_id: str) -> str | None:
-        return self.node(node_id).parent
-
     def children(self, node_id: str) -> tuple[tuple[str, float], ...]:
         return self.node(node_id).children
 
@@ -108,10 +104,6 @@ class TreeModel:
             cur = self.node(cur).parent
         path.reverse()
         return tuple(path)
-
-    def is_ancestor_or_self(self, anc: str, node_id: str) -> bool:
-        ta = self.time(anc)
-        return self.path_to(node_id)[ta:ta + 1] == (anc,)
 
     def subtree_ids(self, node_id: str) -> Iterator[str]:
         """Preorder iteration over the subtree rooted at ``node_id`` (inclusive)."""
@@ -151,26 +143,6 @@ class TreeModel:
             if cid == child_id:
                 return p
         raise KeyError(f"{child_id!r} is not a child of {parent_id!r}")
-
-    def cond_prob(self, anc: str, node_id: str) -> float:
-        """P(node | anc), as the product of edge probabilities along the path.
-
-        Computed multiplicatively (never by dividing path probabilities) so the
-        result is exact whenever the edge probabilities are dyadic.
-        """
-        if not self.is_ancestor_or_self(anc, node_id):
-            raise ValueError(f"{anc!r} is not an ancestor of {node_id!r}")
-        p = 1.0
-        cur = node_id
-        while cur != anc:
-            par = self.node(cur).parent
-            assert par is not None
-            p *= self.edge_prob(par, cur)
-            cur = par
-        return p
-
-    def path_prob(self, node_id: str) -> float:
-        return self.cond_prob(self.root, node_id)
 
     # -- serialization ----------------------------------------------------
 
@@ -388,14 +360,6 @@ class NodeProcess:
     def __getitem__(self, node_id: str) -> float:
         return self.values[node_id]
 
-    @classmethod
-    def constant(cls, model: TreeModel, c: float) -> "NodeProcess":
-        return cls(model, {nid: c for nid in model.node_ids()})
-
-    @classmethod
-    def from_function(cls, model: TreeModel, fn: Callable[[str], float]) -> "NodeProcess":
-        return cls(model, {nid: fn(nid) for nid in model.node_ids()})
-
 
 @dataclass(frozen=True)
 class StoppingTime:
@@ -574,55 +538,6 @@ def stopping_time_value(tau: StoppingTime, x: NodeProcess, at: str) -> float:
     return total
 
 
-def count_stopping_times(model: TreeModel, start: str) -> int:
-    """Number of exact cuts of the subtree of ``start``: N(leaf)=1, N(n)=1+Π N(child)."""
-    counts: dict[str, int] = {}
-    for nid in reversed(tuple(model.subtree_ids(start))):
-        kids = model.children(nid)
-        if not kids:
-            counts[nid] = 1
-            continue
-        prod_count = 1
-        for cid, _ in kids:
-            prod_count *= counts.pop(cid)
-        counts[nid] = 1 + prod_count
-    return counts[start]
-
-
-def all_cuts(model: TreeModel, start: str) -> list[frozenset[str]]:
-    """Every exact cut of the subtree of ``start`` as a stop set, in canonical
-    order: stop-at-the-node first, then child combinations in declared child
-    order, the first child varying slowest."""
-    cuts: dict[str, list[frozenset[str]]] = {}
-    for nid in reversed(tuple(model.subtree_ids(start))):
-        out = [frozenset((nid,))]
-        kids = model.children(nid)
-        if kids:
-            for combo in product(*(cuts.pop(cid) for cid, _ in kids)):
-                out.append(frozenset().union(*combo))
-        cuts[nid] = out
-    return cuts[start]
-
-
-def enumerate_stopping_times(
-    model: TreeModel, start: str, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[StoppingTime]:
-    """Yield every exact-cut stopping time on the subtree of ``start`` exactly once.
-
-    Canonical order: stop-at-the-node first, then child combinations in declared
-    child order. Raises :class:`CapExceededError` (reporting the count) when the
-    subtree admits more than ``cap`` cuts.
-    """
-    total = count_stopping_times(model, start)
-    if total > cap:
-        raise CapExceededError(
-            f"subtree of {start!r} admits {total} stopping times, above the cap of {cap}",
-            count=total,
-        )
-    for cut in all_cuts(model, start):
-        yield StoppingTime(model, start, cut)
-
-
 def load_model(source: str | Path | Mapping) -> tuple[TreeModel, dict[str, NodeProcess]]:
     """Read a model file (or already-parsed dict) and its named processes.
 
@@ -655,17 +570,6 @@ def load_model(source: str | Path | Mapping) -> tuple[TreeModel, dict[str, NodeP
             raise ModelValidationError(f"malformed process {name!r}: {exc}") from exc
         processes[name] = NodeProcess(model, values)
     return model, processes
-
-
-def dump_model(model: TreeModel, processes: Mapping[str, NodeProcess] | None = None) -> dict:
-    """Inverse of :func:`load_model` for round-tripping models to JSON."""
-    doc = model.to_spec()
-    if processes:
-        doc["processes"] = {
-            name: [{"id": nid, "value": proc[nid]} for nid in model.node_ids()]
-            for name, proc in processes.items()
-        }
-    return doc
 
 
 def instance_fingerprint(model: TreeModel, psi: MultiReward, start: str) -> str:

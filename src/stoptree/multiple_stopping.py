@@ -118,9 +118,6 @@ class BackwardInduction:
     def _carry(self, s, t: int):
         return s
 
-    def state_count(self) -> int:
-        return self._count
-
     def value(self, state, node: str) -> float:
         """Value of ``state`` at ``node``; tabulates the subtree below on first use."""
         v = self._values.get(node, {}).get(state)
@@ -228,8 +225,7 @@ class NestedValue(BackwardInduction):
 
     A state is a node plus the set of components already committed (with
     their commit times). ``residual_value`` is the best achievable from that
-    state; ``new_reward`` is the best achievable if one more component must
-    commit at the node right now.
+    state; :func:`u_component` reads it one commitment further on.
     """
 
     label = "nested value table"
@@ -241,14 +237,6 @@ class NestedValue(BackwardInduction):
     def residual_value(self, fixed: FixedKey, node: str) -> float:
         """Value at ``node`` given the commitments in ``fixed``; remaining components free."""
         return self.value(_canon(fixed, self.d), node)
-
-    def new_reward(self, fixed: FixedKey, node: str) -> float:
-        """Best value at ``node`` when one more component commits here, now."""
-        fixed = _canon(fixed, self.d)
-        if len(fixed) >= self.d:
-            raise ValueError("all components are already committed")
-        t = self.model.time(node)
-        return max(self.value(succ, node) for _, _, succ in self._stops(fixed, node, t))
 
     def _terminal_value(self, fixed: FixedKey, path, node: str) -> float:
         return self.psi.evaluate(path, tuple(t for _, t in fixed))
@@ -295,19 +283,6 @@ def u_component(
         if tj > t:
             raise ValueError(f"commitment of component {j} at time {tj} lies after node {node!r}")
     return nested.residual_value(fixed + ((i, t),), node)
-
-
-def new_reward(
-    model: TreeModel,
-    psi: MultiReward,
-    node: str,
-    fixed=(),
-    nested: NestedValue | None = None,
-) -> float:
-    """Synthetic one-step reward: best u_component over the still-free indices."""
-    if nested is None:
-        nested = NestedValue(model, psi)
-    return nested.new_reward(fixed, node)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ leaves in one fixed order, and keeps every maximizer. The only thing it
 caches is each leaf's term weight · ψ per stop-time vector, so ψ runs once
 per distinct (leaf, stop-time vector) while the work still grows with the
 number of tuples; its purpose is to certify the backward-induction results
-on small instances. The d-fold order on stop-time vectors, and the
-pathwise-minimality check built on it, live here too.
+on small instances. Every enumeration of cuts in the package is
+:func:`_ordered_fold`; the free d-fold tuples are the d-th power of its
+d = 1 cuts. The d-fold order on stop-time vectors, and the pathwise
+order check :func:`certify` runs with it, live here too.
 """
 from __future__ import annotations
 
@@ -22,8 +24,6 @@ from .market_model import (
     MultiReward,
     StoppingTime,
     TreeModel,
-    all_cuts,
-    count_stopping_times,
     instance_fingerprint,
 )
 from .multiple_stopping import MultiStoppingTuple, SolveReport, tuple_value
@@ -56,7 +56,6 @@ def brute_force_value(
     *,
     min_gap: int | None = None,
     cap_tuples: int = DEFAULT_TUPLE_CAP,
-    time_budget: float = DEFAULT_TIME_BUDGET,
     eps: float = EPS_EQ,
 ) -> OracleReport:
     """Enumerate every admissible stopping tuple and keep all maximizers.
@@ -65,15 +64,15 @@ def brute_force_value(
     ``min_gap=k`` restricts to ordered tuples with consecutive stop times at
     least ``k`` apart on every path (``k=0`` meaning merely ordered). Raises
     :class:`InfeasibleError` when the constrained feasible set is empty and
-    :class:`CapExceededError` when the tuple count or time budget is blown.
-    Enumeration order is deterministic.
+    :class:`CapExceededError` when the tuple count or ``DEFAULT_TIME_BUDGET``
+    seconds are exceeded. Enumeration order is deterministic.
     """
     if start not in model:
         raise ValueError(f"unknown start node {start!r}")
     t_begin = time.perf_counter()
 
     if min_gap is None:
-        total_count = count_stopping_times(model, start) ** psi.d
+        total_count = _count_ordered(model, start, 1, 0) ** psi.d
         constraint = "none"
     else:
         if min_gap < 0:
@@ -91,7 +90,7 @@ def brute_force_value(
         )
 
     if min_gap is None:
-        cuts = all_cuts(model, start)
+        cuts = [c for (c,) in _ordered_cuts(model, start, 1, 0)]  # at d = 1: every cut
     else:  # number the distinct cuts; a tuple is a combination of cut numbers
         index: dict[frozenset[str], int] = {}
         combos = [tuple(index.setdefault(c, len(index)) for c in combo)
@@ -126,9 +125,9 @@ def brute_force_value(
         if val >= best - eps:
             kept.append((combo, val))
         seen += 1
-        if seen % 1024 == 0 and time.perf_counter() - t_begin > time_budget:
+        if seen % 1024 == 0 and time.perf_counter() - t_begin > DEFAULT_TIME_BUDGET:
             raise CapExceededError(
-                f"oracle ran past its {time_budget}s budget after {seen} tuples",
+                f"oracle ran past its {DEFAULT_TIME_BUDGET}s budget after {seen} tuples",
                 count=seen,
             )
     assert best is not None
@@ -257,60 +256,6 @@ def order_violations(
                 if len(violations) >= 20:
                     return tuple(violations)
     return tuple(violations)
-
-
-def tuple_order_compare(a, b) -> str:
-    """Compare two stop-time vectors: 'equal', 'less', 'greater', or 'incomparable'."""
-    ab = tuple_order_below(a, b)
-    ba = tuple_order_below(b, a)
-    if ab and ba:
-        return "equal"
-    if ab:
-        return "less"
-    if ba:
-        return "greater"
-    return "incomparable"
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Outcome of checking a candidate tuple against every enumerated optimum."""
-
-    candidate_value: float
-    oracle_value: float
-    optimal_count: int
-    candidate_optimal: bool
-    below_all: bool
-    violations: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = ()
-
-    @property
-    def minimal(self) -> bool:
-        return self.candidate_optimal and self.below_all
-
-
-def verify_minimal_optimal(
-    model: TreeModel,
-    psi: MultiReward,
-    start: str,
-    candidate: MultiStoppingTuple,
-    *,
-    eps: float = EPS_EQ,
-) -> MinimalityReport:
-    """Check by exhaustive enumeration that ``candidate`` is optimal and pathwise
-    below-or-equal every optimal tuple. ``violations`` lists up to 20 offending
-    (leaf, candidate times, other times) triples."""
-    report = brute_force_value(model, psi, start, eps=eps)
-    cand_val = tuple_value(candidate, psi)
-    candidate_optimal = abs(cand_val - report.value) <= eps
-    violations = order_violations(candidate, report.optimal_tuples)
-    return MinimalityReport(
-        candidate_value=cand_val,
-        oracle_value=report.value,
-        optimal_count=len(report.optimal_tuples),
-        candidate_optimal=candidate_optimal,
-        below_all=not violations,
-        violations=violations,
-    )
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,21 @@ def sample_cut(rng: random.Random, model: TreeModel, start: str, p_stop: float =
     return StoppingTime(model, start, frozenset(stop_set))
 
 
+def all_cuts(model: TreeModel, start: str) -> list[frozenset[str]]:
+    """Reference enumeration the oracle is tested against: every exact cut of
+    the subtree of ``start`` as a stop set, stop-at-the-node first, then child
+    combinations in declared child order, the first child varying slowest."""
+    cuts: dict[str, list[frozenset[str]]] = {}
+    for nid in reversed(tuple(model.subtree_ids(start))):
+        out = [frozenset((nid,))]
+        kids = model.children(nid)
+        if kids:
+            for combo in product(*(cuts.pop(cid) for cid, _ in kids)):
+                out.append(frozenset().union(*combo))
+        cuts[nid] = out
+    return cuts[start]
+
+
 # -- committed fixtures ---------------------------------------------------
 
 

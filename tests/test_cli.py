@@ -212,6 +212,23 @@ def test_exit_cap_on_swing_state_budget(monkeypatch):
     assert "swing value table exceeded its budget of 5 states" in report["message"]
 
 
+@pytest.mark.parametrize("mode, eps", [("multi", "-1"), ("certify", "nan"),
+                                       ("single", "-1"), ("single", "inf")])
+def test_eps_must_be_finite_and_nonnegative(mode, eps, capsys):
+    assert main([mode, "--model", DEPTH2, "--eps", eps]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--eps" in captured.err
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_cap_tuples_must_be_positive(cap, capsys):
+    assert main(["certify", "--model", DEPTH2, "--cap-tuples", cap]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--cap-tuples" in captured.err
+
+
 def test_lambda_flag_parsing(capsys):
     assert main(["single", "--model", DEPTH2, "--lambda", "0.5,oops"]) == EXIT_PARSE
     code = main(["single", "--model", DEPTH2, "--lambda", "0.5,0.9"])

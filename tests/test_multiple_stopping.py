@@ -13,17 +13,16 @@ from stoptree import (
     MultiStoppingTuple,
     NestedValue,
     StoppingTime,
+    brute_force_value,
     build_tree_from_spec,
     minimal_optimal_stop,
-    new_reward,
     snell_solve,
     solve_multi,
     tuple_order_below,
-    tuple_order_compare,
     tuple_value,
     u_component,
-    verify_minimal_optimal,
 )
+from stoptree.oracle import order_violations
 from tests.conftest import make_binary_tree, make_table_reward
 
 
@@ -51,8 +50,8 @@ def test_commit_values_on_the_chain():
     model, psi = _one_step_chain()
     assert u_component(model, psi, (), 0, "c0") == 2.0
     assert u_component(model, psi, (), 1, "c0") == 1.0
-    assert new_reward(model, psi, "c0") == 2.0
     rep = solve_multi(model, psi, "c0")
+    assert rep.new_reward_process["c0"] == 2.0
     assert rep.value == 2.0
     assert rep.stopping_tuple.times_on_path("c1") == (0, 1)
 
@@ -186,14 +185,17 @@ def test_order_closed_form_d2():
 
 
 def test_order_examples():
-    assert tuple_order_compare((0, 1), (1, 0)) == "incomparable"
-    assert tuple_order_compare((1, 2), (1, 3)) == "less"
-    assert tuple_order_compare((2,), (3,)) == "less"
-    assert tuple_order_compare((1, 2), (1, 2)) == "equal"
-    assert tuple_order_compare((2, 2, 3), (2, 3, 2)) == "incomparable"
-    assert tuple_order_compare((0, 5, 7), (1, 2, 2)) == "less"
+    # (a below b, b below a): equal, less, or incomparable
+    equal, less, incomparable = (True, True), (True, False), (False, False)
+    for a, b, expected in [((0, 1), (1, 0), incomparable),
+                           ((1, 2), (1, 3), less),
+                           ((2,), (3,), less),
+                           ((1, 2), (1, 2), equal),
+                           ((2, 2, 3), (2, 3, 2), incomparable),
+                           ((0, 5, 7), (1, 2, 2), less)]:
+        assert (tuple_order_below(a, b), tuple_order_below(b, a)) == expected, (a, b)
     with pytest.raises(ValueError):
-        tuple_order_compare((1, 2), (1, 2, 3))
+        tuple_order_below((1, 2), (1, 2, 3))
 
 
 def test_order_is_a_partial_order_d3():
@@ -223,10 +225,9 @@ def test_verify_minimal_on_clean_instance(depth2):
     model, x = depth2
     psi = MultiReward.additive(x, 2)
     rep = solve_multi(model, psi, "n0")
-    out = verify_minimal_optimal(model, psi, "n0", rep.stopping_tuple)
-    assert out.candidate_optimal and out.below_all and out.minimal
-    assert out.candidate_value == out.oracle_value == 4.0
-    assert not out.violations
+    orep = brute_force_value(model, psi, "n0")
+    assert tuple_value(rep.stopping_tuple, psi) == orep.value == 4.0  # optimal...
+    assert not order_violations(rep.stopping_tuple, orep.optimal_tuples)  # ...and minimal
 
 
 def test_verify_flags_tied_incomparable_optima(tie_instance):
@@ -235,11 +236,10 @@ def test_verify_flags_tied_incomparable_optima(tie_instance):
     model, psi = tie_instance
     rep = solve_multi(model, psi, "n0")
     assert rep.value == 2.0
-    out = verify_minimal_optimal(model, psi, "n0", rep.stopping_tuple)
-    assert out.candidate_optimal
-    assert not out.below_all and not out.minimal
-    assert out.optimal_count == 2
-    assert out.violations
+    orep = brute_force_value(model, psi, "n0")
+    assert tuple_value(rep.stopping_tuple, psi) == orep.value  # optimal...
+    assert order_violations(rep.stopping_tuple, orep.optimal_tuples)  # ...but not minimal
+    assert len(orep.optimal_tuples) == 2
 
 
 def test_verify_flags_suboptimal_candidate(depth2):
@@ -247,11 +247,8 @@ def test_verify_flags_suboptimal_candidate(depth2):
     psi = MultiReward.additive(x, 2)
     late = StoppingTime(model, "n0", frozenset({"uu", "ud", "du", "dd"}))
     both_late = MultiStoppingTuple((late, late))
-    out = verify_minimal_optimal(model, psi, "n0", both_late)
-    assert out.candidate_value == 4.0 == out.oracle_value
-    assert out.candidate_optimal          # stopping at the horizon ties here...
-    assert not out.below_all              # ...but stops later than the earliest optimum
+    orep = brute_force_value(model, psi, "n0")
+    assert tuple_value(both_late, psi) == 4.0 == orep.value  # stopping at the horizon ties here...
+    assert order_violations(both_late, orep.optimal_tuples)  # ...but stops later than the earliest optimum
     rushed = StoppingTime(model, "n0", frozenset({"n0"}))
-    out2 = verify_minimal_optimal(model, psi, "n0", MultiStoppingTuple((rushed, rushed)))
-    assert out2.candidate_value == 2.0
-    assert not out2.candidate_optimal and not out2.minimal
+    assert tuple_value(MultiStoppingTuple((rushed, rushed)), psi) == 2.0 < orep.value  # not optimal

@@ -6,6 +6,7 @@ from itertools import product
 from operator import add
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stoptree import (
     CapExceededError,
@@ -16,13 +17,11 @@ from stoptree import (
     brute_force_value,
     build_tree_from_spec,
     certify,
-    count_stopping_times,
     solve_multi,
 )
-from stoptree.market_model import all_cuts
-from stoptree.oracle import _ordered_cuts
+from stoptree.oracle import _count_ordered, _ordered_cuts
 from stoptree.single_stopping import EPS_EQ
-from tests.conftest import make_binary_tree, make_table_reward
+from tests.conftest import all_cuts, make_binary_tree, make_table_reward
 
 
 def two_pass_oracle(model, psi, start, min_gap=None, eps=EPS_EQ):
@@ -53,6 +52,39 @@ def two_pass_oracle(model, psi, start, min_gap=None, eps=EPS_EQ):
 
 def one_pass(rep):
     return rep.value, rep.enumerated_count, [t.stop_sets for t in rep.optimal_tuples]
+
+
+def test_count_and_enumerate_agree(depth2):
+    model, _ = depth2
+    cuts = [c for (c,) in _ordered_cuts(model, "n0", 1, 0)]
+    assert len(cuts) == _count_ordered(model, "n0", 1, 0) == 5
+    assert len(set(cuts)) == 5
+
+
+def test_enumerate_is_deterministic(depth2):
+    model, _ = depth2
+    a = [c for (c,) in _ordered_cuts(model, "n0", 1, 0)]
+    b = [c for (c,) in _ordered_cuts(model, "n0", 1, 0)]
+    assert a == b
+    assert a[0] == frozenset({"n0"})  # stop-at-the-node comes first
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_count_matches_enumeration_on_random_trees(seed):
+    # at d = 1 the ordered fold is the free cut enumeration, in the reference order
+    rng = random.Random(seed)
+    model = make_binary_tree(rng, rng.choice([1, 2, 3, 4]))
+    for start in model.node_ids():
+        cuts = [c for (c,) in _ordered_cuts(model, start, 1, 0)]
+        assert cuts == all_cuts(model, start)
+        assert _count_ordered(model, start, 1, 0) == len(cuts)
+
+
+def test_enumerate_cap():
+    model = make_binary_tree(random.Random(3), 4)
+    with pytest.raises(CapExceededError) as err:
+        brute_force_value(model, MultiReward.zero(1), "n0", cap_tuples=100)
+    assert err.value.count == 677
 
 
 def test_single_stop_enumeration(depth2):
@@ -102,18 +134,19 @@ def test_ordered_count_on_deep_chain_hits_cap():
         for t in range(1, horizon + 1)
     ]
     model = build_tree_from_spec({"horizon": horizon, "nodes": rows})
-    psi = MultiReward.additive(NodeProcess.constant(model, 1.0), 2)
+    psi = MultiReward.additive(NodeProcess(model, dict.fromkeys(model.node_ids(), 1.0)), 2)
     with pytest.raises(CapExceededError) as err:
         brute_force_value(model, psi, "c0", min_gap=1, cap_tuples=10)
     assert err.value.count == 1_125_750  # pairs t1 < t2 out of 1501 times
 
 
-def test_time_budget():
+def test_time_budget(monkeypatch):
     rng = random.Random(2)
     model = make_binary_tree(rng, 3)
     psi = make_table_reward(rng, model, 3)
+    monkeypatch.setattr("stoptree.oracle.DEFAULT_TIME_BUDGET", 0.0)
     with pytest.raises(CapExceededError, match="budget"):
-        brute_force_value(model, psi, "n0", time_budget=0.0)
+        brute_force_value(model, psi, "n0")
 
 
 def test_ordered_constraint_walkthrough(depth2):
@@ -239,7 +272,7 @@ def test_each_cut_is_validated_once(monkeypatch):
     monkeypatch.setattr(StoppingTime, "__post_init__", counting)
     rep = brute_force_value(model, MultiReward.zero(2), "n0")
     assert rep.enumerated_count == len(rep.optimal_tuples) == 676  # every pair ties
-    assert len(validated) <= count_stopping_times(model, "n0") == 26
+    assert len(validated) <= len(all_cuts(model, "n0")) == 26
 
 
 def test_one_pass_matches_two_pass_reference(reduction_reports, minimality_corpus):
@@ -283,7 +316,7 @@ def test_one_pass_drops_near_ties_when_the_best_rises(chain3):
 
 
 @pytest.mark.parametrize("eps", [EPS_EQ, 1.0])
-def test_one_pass_stays_linear_when_values_creep_up(eps):
+def test_one_pass_stays_linear_when_values_creep_up(eps, monkeypatch):
     # a chain of horizon 199: cut i stops at time i, and each pair's value is
     # a hair above the one before it in enumeration order, so with eps=1.0
     # every pair is kept at every rise; pruning on each rise would take
@@ -297,7 +330,8 @@ def test_one_pass_stays_linear_when_values_creep_up(eps):
     step = EPS_EQ / 7
     rank = {pair: k for k, pair in enumerate(product(times, repeat=2))}
     psi = MultiReward.from_function(2, lambda path, t: 1.0 + step * rank[t])
-    rep = brute_force_value(model, psi, "c0", eps=eps, time_budget=5.0)
+    monkeypatch.setattr("stoptree.oracle.DEFAULT_TIME_BUDGET", 5.0)
+    rep = brute_force_value(model, psi, "c0", eps=eps)
     assert one_pass(rep) == two_pass_oracle(model, psi, "c0", eps=eps)
     assert rep.enumerated_count == len(rank) == 40_000
     assert len(rep.optimal_tuples) == (40_000 if eps == 1.0 else 8)

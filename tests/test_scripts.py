@@ -1,4 +1,5 @@
-"""Smoke test: the sweep scripts run end to end against the package in src/."""
+"""Smoke test: the sweep scripts run end to end against the package in src/,
+and reject bad arguments with a usage error."""
 from __future__ import annotations
 
 import os
@@ -15,15 +16,30 @@ RUNS = [
     ["swing_grid.py", "tests/fixtures/depth2.json", "--check"],
     ["certify_sweep.py", "--instances", "2"],
 ]
+BAD_RUNS = {
+    "unknown-reward": ["lambda_sweep.py", "tests/fixtures/depth2.json", "--reward", "nope"],
+    "grid-outside-unit-interval": ["lambda_sweep.py", "tests/fixtures/depth2.json", "--grid", "1.5"],
+}
+
+
+def _run(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 @pytest.mark.parametrize("argv", RUNS, ids=[argv[0] for argv in RUNS])
 def test_script_exits_zero(argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run(argv)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("argv", BAD_RUNS.values(), ids=BAD_RUNS.keys())
+def test_script_rejects_bad_arguments(argv):
+    proc = _run(argv)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr

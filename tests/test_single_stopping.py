@@ -8,16 +8,16 @@ from hypothesis import given, strategies as st
 
 from stoptree import (
     NodeProcess,
+    StoppingTime,
     check_optimality,
     conditional_expectation,
-    enumerate_stopping_times,
     lambda_stop,
     lambda_threshold,
     minimal_optimal_stop,
     snell_solve,
     stopping_time_value,
 )
-from tests.conftest import make_binary_tree, make_process
+from tests.conftest import all_cuts, make_binary_tree, make_process
 
 
 def test_envelope_values_by_hand(depth2):
@@ -38,8 +38,8 @@ def test_earliest_rule_and_cut_values(depth2):
     tau = minimal_optimal_stop(sol, "n0")
     assert tau.stop_set == frozenset({"u", "du", "dd"})
     by_cut = {
-        rule.stop_set: stopping_time_value(rule, x, "n0")
-        for rule in enumerate_stopping_times(model, "n0")
+        cut: stopping_time_value(StoppingTime(model, "n0", cut), x, "n0")
+        for cut in all_cuts(model, "n0")
     }
     assert by_cut == {
         frozenset({"n0"}): 1.0,
@@ -57,7 +57,7 @@ def test_earliest_rule_is_pathwise_smallest_optimum(depth2):
     model, x = depth2
     sol = snell_solve(x)
     tau = minimal_optimal_stop(sol, "n0")
-    for other in enumerate_stopping_times(model, "n0"):
+    for other in (StoppingTime(model, "n0", cut) for cut in all_cuts(model, "n0")):
         if stopping_time_value(other, x, "n0") == sol.value["n0"]:
             for leaf in model.leaves_below("n0"):
                 assert tau.stop_time_on_path(leaf) <= other.stop_time_on_path(leaf)
@@ -165,7 +165,7 @@ def test_criterium_requires_matching_start(depth2):
 def test_constant_reward_stops_immediately():
     rng = random.Random(1)
     model = make_binary_tree(rng, 3)
-    sol = snell_solve(NodeProcess.constant(model, 5.0))
+    sol = snell_solve(NodeProcess(model, dict.fromkeys(model.node_ids(), 5.0)))
     assert sol.equality_set == frozenset(model.node_ids())
     assert minimal_optimal_stop(sol, "n0").stop_set == frozenset({"n0"})
     assert lambda_threshold(sol, "n0") == 0.0
