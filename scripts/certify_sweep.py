@@ -43,6 +43,9 @@ def main() -> int:
     ap.add_argument("--d", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    for opt in ("instances", "depth", "d"):
+        if getattr(args, opt) < 1:
+            ap.error(f"--{opt} must be >= 1, got {getattr(args, opt)}")
 
     print(f"{'seed':>6}  {'value':>10}  {'optima':>6}  {'tuples':>8}  {'secs':>7}  verdict")
     bad_values = 0

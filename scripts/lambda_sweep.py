@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from stoptree import (
+    ModelValidationError,
     lambda_stop,
     lambda_threshold,
     load_model,
@@ -39,12 +40,17 @@ def main() -> int:
     if not all(0.0 < lam < 1.0 for lam in grid):
         ap.error(f"--grid fractions must lie in (0, 1), got {args.grid!r}")
 
-    model, processes = load_model(args.model)
+    try:
+        model, processes = load_model(args.model)
+    except ModelValidationError as exc:
+        ap.error(str(exc))
     name = args.reward if args.reward is not None else next(iter(processes))
     if name not in processes:
         ap.error(f"model defines no process named {name!r}")
     x = processes[name]
     start = args.start if args.start is not None else model.root
+    if start not in model:
+        ap.error(f"model has no node {start!r}")
     sol = snell_solve(x)
     value = sol.value[start]
     earliest = minimal_optimal_stop(sol, start)

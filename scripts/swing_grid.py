@@ -13,6 +13,7 @@ import sys
 
 from stoptree import (
     InfeasibleError,
+    ModelValidationError,
     MultiReward,
     brute_force_value,
     load_model,
@@ -31,10 +32,17 @@ def main() -> int:
     ap.add_argument("--check", action="store_true", help="cross-check d=2 rows by enumeration")
     args = ap.parse_args()
 
-    model, processes = load_model(args.model)
+    try:
+        model, processes = load_model(args.model)
+    except ModelValidationError as exc:
+        ap.error(str(exc))
     name = args.reward if args.reward is not None else next(iter(processes))
+    if name not in processes:
+        ap.error(f"model defines no process named {name!r}")
     y = processes[name]
     start = args.start if args.start is not None else model.root
+    if start not in model:
+        ap.error(f"model has no node {start!r}")
     single = snell_solve(y).value[start]
 
     deltas = list(range(args.delta_max + 1))

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +34,7 @@ from .multiple_stopping import solve_multi, tuple_value
 from .oracle import DEFAULT_TUPLE_CAP, brute_force_value, certify
 from .single_stopping import (
     EPS_EQ,
+    check_eps,
     check_optimality,
     lambda_stop,
     lambda_threshold,
@@ -74,8 +74,7 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"--eps must be a finite number >= 0, got {self.eps!r}")
+        check_eps(self.eps, "--eps")
         if self.cap_tuples < 1:
             raise ValueError(f"--cap-tuples must be >= 1, got {self.cap_tuples!r}")
 

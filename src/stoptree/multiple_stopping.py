@@ -32,7 +32,7 @@ from .market_model import (
     conditional_expectation,
     instance_fingerprint,
 )
-from .single_stopping import EPS_EQ, SnellSolution, minimal_optimal_stop, snell_solve
+from .single_stopping import EPS_EQ, SnellSolution, check_eps, minimal_optimal_stop, snell_solve
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -94,21 +94,23 @@ class BackwardInduction:
     Subclasses describe the states: ``_rank(s)``, the number of the d
     commitments made, which every stop move raises by one;
     ``_terminal_value(s, path, node)`` for states of rank d (``path`` is the
-    root path to the node); ``_stops(s, node, t)``, the stop moves of a
-    state of lower rank as ``(component slot, gain, successor)`` in tie-break
-    order; and ``_carry(s, t)``, the state handed to the children at time
-    ``t``, or ``None`` if ``s`` may not continue. The defaults suit states
-    that list the commitments made.
+    root path to the node); ``_stops(s, t)``, the stop moves of a state of
+    lower rank at time ``t`` as ``(component slot, successor)`` in tie-break
+    order; ``_gain(node)``, the payoff each stop move at ``node`` collects;
+    and ``_carry(s, t)``, the state handed to the children at time ``t``, or
+    ``None`` if ``s`` may not continue. The defaults suit states that list
+    the commitments made and collect nothing.
 
-    A query for an untabulated pair fills the table below it: a forward pass
-    collects the untabulated states reachable from the pair, node by node in
-    level order, and a backward pass from the deepest level up values them.
-    A table holds at most ``DEFAULT_STATE_CAP`` pairs, read when it fills.
+    A query for an untabulated pair fills the table on the pair's subtree.
+    Its states depend only on the time, so each level's states are listed
+    once; the untabulated pairs are counted against ``DEFAULT_STATE_CAP`` as
+    they are listed, before a backward pass from the deepest level values them.
     """
 
     label = "value table"
     uses_path = True  # whether terminal values read the root path
     _rank = staticmethod(len)
+    _gain = staticmethod(lambda node: 0.0)
 
     def __init__(self, model: TreeModel, d: int):
         self.model, self.d = model, d
@@ -136,10 +138,10 @@ class BackwardInduction:
         stack = [(start, state)]
         while stack:
             nid, s = stack.pop()
-            vals, t = self._values[nid], model.time(nid)
+            vals, t, gain = self._values[nid], model.time(nid), self._gain(nid)
             while self._rank(s) < self.d:
                 here = vals[s]
-                move = next(((slot, succ) for slot, gain, succ in self._stops(s, nid, t)
+                move = next(((slot, succ) for slot, succ in self._stops(s, t)
                              if vals[succ] + gain >= here), None)
                 if move is None:
                     break
@@ -154,70 +156,63 @@ class BackwardInduction:
             tuple(StoppingTime(model, start, frozenset(s)) for s in stop_sets)
         )
 
+    def _level(self, seeds: list, t: int) -> list:
+        """The states at time ``t`` reachable from ``seeds`` by stop moves, in rank
+        order, as ``(state, stop successors, carry)``; a terminal state has ``None``s."""
+        buckets: list[list] = [[] for _ in range(self.d + 1)]
+        for s in seeds:
+            buckets[self._rank(s)].append(s)
+        level: dict = {}
+        for r, bucket in enumerate(buckets[:-1]):
+            for s in dict.fromkeys(bucket):  # states of different ranks differ
+                succs = [succ for _, succ in self._stops(s, t)]
+                buckets[r + 1] += succs
+                level[s] = (s, succs, self._carry(s, t + 1))
+        level.update((s, (s, None, None)) for s in buckets[-1])
+        return list(level.values())
+
     def _fill(self, state, node: str) -> None:
-        model, values, cap, d = self.model, self._values, DEFAULT_STATE_CAP, self.d
-        stops, carry, rank = self._stops, self._carry, self._rank
-        count = self._count
-        levels: list[tuple[str, list, int]] = []
-        arriving, queue = {node: [state]}, [node]
-        for nid in queue:
-            n = model.node(nid)
-            known, t, kids = values.get(nid, {}), n.time, n.children
-            by_rank: list[list] = [[] for _ in range(d + 1)]
-            for s in arriving.pop(nid):
-                by_rank[rank(s)].append(s)
-            new: dict = {}  # untabulated states, in increasing rank
-            carried, n_open = [], 0
-            for r, bucket in enumerate(by_rank):
-                for s in bucket:
-                    if s in new or s in known:
-                        continue
-                    new[s] = None
-                    if r == d:
-                        continue
-                    n_open += 1
-                    for _, _, succ in stops(s, nid, t):
-                        by_rank[r + 1].append(succ)
-                    c = carry(s, t + 1) if kids else None
-                    if c is not None:
-                        carried.append(c)
-            count += len(new)
-            if count > cap:
-                raise CapExceededError(f"{self.label} exceeded its budget of {cap} states",
-                                       count=count)
-            if new:
-                levels.append((nid, list(new), n_open))
-                for cid, _ in kids if carried else ():
-                    arriving[cid] = carried
-                    queue.append(cid)
+        model, values, cap = self.model, self._values, DEFAULT_STATE_CAP
+        over = f"{self.label} exceeded its budget of {cap} states"
+        t, seeds, nodes = model.time(node), [state], [node]
+        plan, count = [], self._count  # per level: the (node, untabulated states) pairs
+        while nodes:
+            level, todo, below = self._level(seeds, t), [], []
+            for nid in nodes:  # a node with nothing untabulated has a tabulated subtree
+                new = [e for e in level if e[0] not in values[nid]] if nid in values else level
+                if new:
+                    count += len(new)
+                    if count > cap:
+                        raise CapExceededError(over, count=count)
+                    todo.append((nid, new))
+                    below += [cid for cid, _ in model.children(nid)]
+            plan.append(todo)
+            seeds = [c for _, _, c in level if c is not None]
+            nodes, t = below, t + 1
 
         paths: dict[str, tuple[str, ...]] = {}
-        for nid, states, n_open in reversed(levels):  # children before their parent
-            n, vals = model.node(nid), values.setdefault(nid, {})
-            t, children = n.time, n.children
-            kids = [(p, values.get(cid)) for cid, p in children]
-            if self.uses_path:  # a node's path is a child's path without the child
-                below = [paths.pop(cid) for cid, _ in children if cid in paths]
-                paths[nid] = below[0][:-1] if below else model.path_to(nid)
-            path = paths.get(nid)
-            for s in states[n_open:]:
-                vals[s] = self._terminal_value(s, path, nid)
-            for s in reversed(states[:n_open]):  # successors before the states that stop into them
-                best = None
-                for _, gain, succ in stops(s, nid, t):
-                    v = vals[succ] + gain
-                    if best is None or v > best:
-                        best = v
-                c = carry(s, t + 1) if kids else None
-                if c is not None:
-                    cont = 0.0
-                    for p, child_vals in kids:
-                        cont += p * child_vals[c]
-                    best = cont if best is None else max(best, cont)
-                if best is None:
-                    raise AssertionError(f"state {s!r} at {nid!r} has no action")
-                vals[s] = best
-            self._count += len(states)
+        for todo in reversed(plan):  # children before their parents
+            for nid, new in todo:
+                children, vals = model.children(nid), values.setdefault(nid, {})
+                kids = [(p, values.get(cid)) for cid, p in children]
+                if self.uses_path:  # a node's path is a child's path without the child
+                    below = [paths.pop(cid) for cid, _ in children if cid in paths]
+                    paths[nid] = below[0][:-1] if below else model.path_to(nid)
+                path, gain = paths.get(nid), self._gain(nid)
+                for s, succs, c in reversed(new):  # successors before the states stopping into them
+                    if succs is None:
+                        vals[s] = self._terminal_value(s, path, nid)
+                        continue
+                    best = max(vals[succ] for succ in succs) + gain if succs else None
+                    if c is not None and kids:
+                        cont = 0.0
+                        for p, child_vals in kids:
+                            cont += p * child_vals[c]
+                        best = cont if best is None else max(best, cont)
+                    if best is None:
+                        raise AssertionError(f"state {s!r} at {nid!r} has no action")
+                    vals[s] = best
+        self._count = count
 
 
 class NestedValue(BackwardInduction):
@@ -241,10 +236,9 @@ class NestedValue(BackwardInduction):
     def _terminal_value(self, fixed: FixedKey, path, node: str) -> float:
         return self.psi.evaluate(path, tuple(t for _, t in fixed))
 
-    def _stops(self, fixed: FixedKey, node: str, t: int):
+    def _stops(self, fixed: FixedKey, t: int):
         taken = [i for i, _ in fixed]
-        return [(i, 0.0, tuple(sorted(fixed + ((i, t),))))
-                for i in range(self.d) if i not in taken]
+        return [(i, tuple(sorted(fixed + ((i, t),)))) for i in range(self.d) if i not in taken]
 
 
 def _canon(fixed, d: int) -> FixedKey:
@@ -324,6 +318,7 @@ def solve_multi(
     """
     if start not in model:
         raise ValueError(f"unknown start node {start!r}")
+    check_eps(eps)
     nested = NestedValue(model, psi)
     value = nested.residual_value((), start)
 

@@ -27,7 +27,7 @@ from .market_model import (
     instance_fingerprint,
 )
 from .multiple_stopping import MultiStoppingTuple, SolveReport, tuple_value
-from .single_stopping import EPS_EQ
+from .single_stopping import EPS_EQ, check_eps
 
 DEFAULT_TUPLE_CAP = 10_000_000
 DEFAULT_TIME_BUDGET = 60.0
@@ -69,6 +69,7 @@ def brute_force_value(
     """
     if start not in model:
         raise ValueError(f"unknown start node {start!r}")
+    check_eps(eps)
     t_begin = time.perf_counter()
 
     if min_gap is None:
@@ -293,6 +294,7 @@ def certify(report: SolveReport, oracle_report: OracleReport, *, eps: float = EP
     under the oracle's own evaluator, and the solver's tuple sits pathwise
     below-or-equal every enumerated maximizer.
     """
+    check_eps(eps)
     if report.instance_hash != oracle_report.instance_hash:
         raise ValueError("solver and oracle reports describe different instances")
     if oracle_report.min_gap is not None:

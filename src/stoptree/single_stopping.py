@@ -8,6 +8,7 @@ the guarantee λ·v(start) ≤ expected reward collected.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .market_model import (
@@ -19,6 +20,12 @@ from .market_model import (
 )
 
 EPS_EQ = 1e-9  # default tolerance of the post-solve checks; no stop decision reads it
+
+
+def check_eps(eps: float, name: str = "eps") -> None:
+    """Reject a check tolerance that is negative or not finite."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,7 @@ def check_optimality(
     sol: SnellSolution, start: str, tau: StoppingTime, eps: float = EPS_EQ
 ) -> CriteriumReport:
     """Evaluate the three equivalent optimality conditions for ``tau`` at ``start``."""
+    check_eps(eps)
     if tau.start != start:
         raise ValueError(f"stopping time starts at {tau.start!r}, not {start!r}")
     model = sol.model

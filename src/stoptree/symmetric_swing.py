@@ -4,12 +4,12 @@ Both problems run the backward induction of
 :class:`stoptree.multiple_stopping.BackwardInduction` on smaller states than
 the general d-fold solver. When the reward does not care about the order of
 the d stop times, commitments can be made in nondecreasing time order, so a
-state is just the times committed so far, and its one stop move appends the
-node's time. The swing specialization collects per-right payoffs from one
-process, as the gain of its stop move, and keeps a minimum gap (refraction
-period) delta between consecutive exercises, with all d rights forced into
-the horizon; a state is the number of rights left and the earliest time the
-next one may be used.
+state is just the times committed so far, and its one stop move,
+``_stops(state, t)``, appends the time. The swing specialization collects
+per-right payoffs from one process through the ``_gain(node)`` hook, and
+keeps a minimum gap (refraction period) delta between consecutive exercises,
+with all d rights forced into the horizon; a state is the number of rights
+left and the earliest time the next one may be used.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .market_model import InfeasibleError, MultiReward, NodeProcess, TreeModel
 from .multiple_stopping import BackwardInduction, MultiStoppingTuple, tuple_value
-from .single_stopping import EPS_EQ
+from .single_stopping import EPS_EQ, check_eps
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ def symmetric_backward(
         raise ValueError("symmetric_backward needs a symmetric reward")
     if start not in model:
         raise ValueError(f"unknown start node {start!r}")
+    check_eps(eps)
     table = _Ordered(model, psi)
     value = table.value((), start)
     tup = table.extract((), start)
@@ -77,8 +78,8 @@ class _Ordered(BackwardInduction):
     def _terminal_value(self, prior: tuple[int, ...], path, node: str) -> float:
         return self.psi.evaluate(path, prior)
 
-    def _stops(self, prior: tuple[int, ...], node: str, t: int):
-        return ((len(prior), 0.0, prior + (t,)),)
+    def _stops(self, prior: tuple[int, ...], t: int):
+        return ((len(prior), prior + (t,)),)
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,7 @@ def swing_solve(
         raise ValueError(f"refraction period must be >= 0, got {delta!r}")
     if start not in model:
         raise ValueError(f"unknown start node {start!r}")
+    check_eps(eps)
     d, delta = int(d), int(delta)
     horizon = model.horizon
     t0 = model.time(start)
@@ -193,10 +195,13 @@ class _Swing(BackwardInduction):
     def _terminal_value(self, state, path, node: str) -> float:
         return 0.0
 
-    def _stops(self, state: tuple[int, int], node: str, t: int):
+    def _gain(self, node: str) -> float:
+        return self.y[node]
+
+    def _stops(self, state: tuple[int, int], t: int):
         e, a = state
         if t >= a and t + (e - 1) * self.delta <= self.horizon:
-            return ((self.d - e, self.y[node], (e - 1, t + self.delta) if e > 1 else (0, 0)),)
+            return ((self.d - e, (e - 1, t + self.delta) if e > 1 else (0, 0)),)
         return ()
 
     def _carry(self, state: tuple[int, int], t: int):

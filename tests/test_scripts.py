@@ -19,6 +19,14 @@ RUNS = [
 BAD_RUNS = {
     "unknown-reward": ["lambda_sweep.py", "tests/fixtures/depth2.json", "--reward", "nope"],
     "grid-outside-unit-interval": ["lambda_sweep.py", "tests/fixtures/depth2.json", "--grid", "1.5"],
+    "swing-unknown-reward": ["swing_grid.py", "tests/fixtures/depth2.json", "--reward", "nope"],
+    "lambda-missing-model": ["lambda_sweep.py", "tests/fixtures/no_such_model.json"],
+    "swing-missing-model": ["swing_grid.py", "tests/fixtures/no_such_model.json"],
+    "lambda-unknown-start": ["lambda_sweep.py", "tests/fixtures/depth2.json", "--start", "zz"],
+    "swing-unknown-start": ["swing_grid.py", "tests/fixtures/depth2.json", "--start", "zz"],
+    "certify-depth-zero": ["certify_sweep.py", "--depth", "0"],
+    "certify-d-zero": ["certify_sweep.py", "--d", "0"],
+    "certify-negative-instances": ["certify_sweep.py", "--instances", "-3"],
 }
 
 

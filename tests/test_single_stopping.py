@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stoptree import (
+    MultiReward,
     NodeProcess,
     StoppingTime,
+    brute_force_value,
+    certify,
     check_optimality,
     conditional_expectation,
     lambda_stop,
     lambda_threshold,
     minimal_optimal_stop,
     snell_solve,
+    solve_multi,
     stopping_time_value,
+    swing_solve,
+    symmetric_backward,
 )
 from tests.conftest import all_cuts, make_binary_tree, make_process
 
@@ -169,3 +175,30 @@ def test_constant_reward_stops_immediately():
     assert sol.equality_set == frozenset(model.node_ids())
     assert minimal_optimal_stop(sol, "n0").stop_set == frozenset({"n0"})
     assert lambda_threshold(sol, "n0") == 0.0
+
+
+# -- the check tolerance ----------------------------------------------------
+
+
+def _eps_entry_points(depth2):
+    model, x = depth2
+    psi = MultiReward.additive(x, 2)
+    sol = snell_solve(x)
+    tau = minimal_optimal_stop(sol, "n0")
+    rep, orep = solve_multi(model, psi, "n0"), brute_force_value(model, psi, "n0")
+    return {
+        "solve_multi": lambda eps: solve_multi(model, psi, "n0", eps=eps),
+        "symmetric_backward": lambda eps: symmetric_backward(model, psi, "n0", eps=eps),
+        "swing_solve": lambda eps: swing_solve(model, x, 2, 1, "n0", eps=eps),
+        "brute_force_value": lambda eps: brute_force_value(model, psi, "n0", eps=eps),
+        "certify": lambda eps: certify(rep, orep, eps=eps),
+        "check_optimality": lambda eps: check_optimality(sol, "n0", tau, eps=eps),
+    }
+
+
+@pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", ["solve_multi", "symmetric_backward", "swing_solve",
+                                   "brute_force_value", "certify", "check_optimality"])
+def test_entry_points_reject_a_bad_tolerance(entry, eps, depth2):
+    with pytest.raises(ValueError, match="eps must be a finite number >= 0"):
+        _eps_entry_points(depth2)[entry](eps)
