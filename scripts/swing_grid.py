@@ -31,6 +31,10 @@ def main() -> int:
     ap.add_argument("--delta-max", type=int, default=3)
     ap.add_argument("--check", action="store_true", help="cross-check d=2 rows by enumeration")
     args = ap.parse_args()
+    if args.d_max < 1:
+        ap.error(f"--d-max must be >= 1, got {args.d_max}")
+    if args.delta_max < 0:
+        ap.error(f"--delta-max must be >= 0, got {args.delta_max}")
 
     try:
         model, processes = load_model(args.model)

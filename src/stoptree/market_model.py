@@ -438,7 +438,12 @@ class MultiReward:
             raise ValueError(f"negative stop time in {times}")
         if last + 1 > len(path):
             raise ValueError(f"path of length {len(path)} does not reach time {last}")
-        value = float(self.fn(tuple(path[: last + 1]), times))
+        return self.evaluate_trusted(tuple(path[: last + 1]), times)
+
+    def evaluate_trusted(self, path: tuple[str, ...], times: tuple[int, ...]) -> float:
+        """ψ on a caller-built ``times`` (d ints >= 0) and ``path`` (the root path
+        cut at ``max(times)``); only the result is checked."""
+        value = float(self.fn(path, times))
         if not (value >= 0.0 and value < float("inf")):
             raise ValueError(f"reward returned {value!r}; rewards must be nonnegative and finite")
         return value
@@ -446,20 +451,22 @@ class MultiReward:
     @classmethod
     def additive(cls, y: NodeProcess, d: int) -> "MultiReward":
         """ψ(τ₁,…,τ_d) = Σ_k y(τ_k)."""
+        ys = y.values
 
         def fn(path: tuple[str, ...], times: tuple[int, ...]) -> float:
-            return sum(y[path[t]] for t in times)
+            return sum(ys[path[t]] for t in times)
 
         return cls(d=d, fn=fn, symmetric=True)
 
     @classmethod
     def multiplicative(cls, y: NodeProcess, d: int) -> "MultiReward":
         """ψ(τ₁,…,τ_d) = Π_k y(τ_k)."""
+        ys = y.values
 
         def fn(path: tuple[str, ...], times: tuple[int, ...]) -> float:
             out = 1.0
             for t in times:
-                out *= y[path[t]]
+                out *= ys[path[t]]
             return out
 
         return cls(d=d, fn=fn, symmetric=True)

@@ -14,10 +14,10 @@ pairs, :class:`BackwardInduction`. A state says what is committed so far;
 at each node a state either continues (the expectation over the children)
 or stops (a move to a successor state at the same node, possibly
 collecting a gain), and fully committed states evaluate ψ. Here a state
-is the set of committed ``(component, time)`` pairs; the ordered and swing
-solvers of :mod:`stoptree.symmetric_swing` run the same routine on their
-own states. Stop/continue decisions compare values exactly: a state stops
-when its first stop move reaches the state's value.
+is the vector of commit times, ``None`` where a component is free; the
+ordered and swing solvers of :mod:`stoptree.symmetric_swing` run the same
+routine on their own states. Stop/continue decisions compare values
+exactly: a state stops when its first stop move reaches the state's value.
 """
 from __future__ import annotations
 
@@ -95,16 +95,18 @@ class BackwardInduction:
     commitments made, which every stop move raises by one;
     ``_terminal_value(s, path, node)`` for states of rank d (``path`` is the
     root path to the node); ``_stops(s, t)``, the stop moves of a state of
-    lower rank at time ``t`` as ``(component slot, successor)`` in tie-break
+    lower rank at time ``t`` as ``(component, successor)`` in tie-break
     order; ``_gain(node)``, the payoff each stop move at ``node`` collects;
     and ``_carry(s, t)``, the state handed to the children at time ``t``, or
     ``None`` if ``s`` may not continue. The defaults suit states that list
     the commitments made and collect nothing.
 
-    A query for an untabulated pair fills the table on the pair's subtree.
-    Its states depend only on the time, so each level's states are listed
-    once; the untabulated pairs are counted against ``DEFAULT_STATE_CAP`` as
-    they are listed, before a backward pass from the deepest level values them.
+    Each time numbers the states listed at it, and a node's values are a
+    list indexed by that slot (``None`` if untabulated). A query for an
+    untabulated pair fills the table on the pair's subtree. Its states depend
+    only on the time, so each level is listed once, successors and carry as
+    slots; the untabulated pairs are counted against ``DEFAULT_STATE_CAP``
+    as they are listed, before a backward pass from the deepest level values them.
     """
 
     label = "value table"
@@ -114,18 +116,24 @@ class BackwardInduction:
 
     def __init__(self, model: TreeModel, d: int):
         self.model, self.d = model, d
-        self._values: dict[str, dict] = {}
+        self._slots: dict[int, dict] = {}  # per time: state -> slot
+        self._values: dict[str, list] = {}  # per node: value by slot
         self._count = 0
 
     def _carry(self, s, t: int):
         return s
 
+    def _get(self, state, node: str) -> float | None:
+        slot = self._slots.get(self.model.time(node), {}).get(state)
+        vals = self._values.get(node, ())
+        return vals[slot] if slot is not None and slot < len(vals) else None
+
     def value(self, state, node: str) -> float:
         """Value of ``state`` at ``node``; tabulates the subtree below on first use."""
-        v = self._values.get(node, {}).get(state)
+        v = self._get(state, node)
         if v is None:
             self._fill(state, node)
-            v = self._values[node][state]
+            v = self._get(state, node)
         return v
 
     def extract(self, state, start: str) -> MultiStoppingTuple:
@@ -138,11 +146,12 @@ class BackwardInduction:
         stack = [(start, state)]
         while stack:
             nid, s = stack.pop()
-            vals, t, gain = self._values[nid], model.time(nid), self._gain(nid)
+            t = model.time(nid)
+            slots, vals, gain = self._slots[t], self._values[nid], self._gain(nid)
             while self._rank(s) < self.d:
-                here = vals[s]
-                move = next(((slot, succ) for slot, succ in self._stops(s, t)
-                             if vals[succ] + gain >= here), None)
+                here = vals[slots[s]]
+                move = next(((i, succ) for i, succ in self._stops(s, t)
+                             if vals[slots[succ]] + gain >= here), None)
                 if move is None:
                     break
                 stop_sets[move[0]].add(nid)
@@ -156,71 +165,84 @@ class BackwardInduction:
             tuple(StoppingTime(model, start, frozenset(s)) for s in stop_sets)
         )
 
-    def _level(self, seeds: list, t: int) -> list:
-        """The states at time ``t`` reachable from ``seeds`` by stop moves, in rank
-        order, as ``(state, stop successors, carry)``; a terminal state has ``None``s."""
+    def _level(self, seeds: list, t: int) -> tuple[list, list]:
+        """Number the states at time ``t`` reachable from ``seeds`` by stop moves.
+        Returns them in rank order as ``(slot, successors' slots, carry's slot at
+        t + 1)``, where a terminal state has ``(slot, None, state)``, and the
+        carried states."""
+        slots = self._slots.setdefault(t, {})
+        next_slots = self._slots.setdefault(t + 1, {}) if t < self.model.horizon else None
         buckets: list[list] = [[] for _ in range(self.d + 1)]
         for s in seeds:
             buckets[self._rank(s)].append(s)
-        level: dict = {}
+        level, carried = [], []
         for r, bucket in enumerate(buckets[:-1]):
             for s in dict.fromkeys(bucket):  # states of different ranks differ
                 succs = [succ for _, succ in self._stops(s, t)]
                 buckets[r + 1] += succs
-                level[s] = (s, succs, self._carry(s, t + 1))
-        level.update((s, (s, None, None)) for s in buckets[-1])
-        return list(level.values())
+                c = self._carry(s, t + 1) if next_slots is not None else None
+                if c is not None:
+                    carried.append(c)
+                    c = next_slots.setdefault(c, len(next_slots))
+                level.append((slots.setdefault(s, len(slots)),
+                              tuple([slots.setdefault(x, len(slots)) for x in succs]), c))
+        level += [(slots.setdefault(s, len(slots)), None, s) for s in dict.fromkeys(buckets[-1])]
+        return level, carried
 
     def _fill(self, state, node: str) -> None:
         model, values, cap = self.model, self._values, DEFAULT_STATE_CAP
         over = f"{self.label} exceeded its budget of {cap} states"
         t, seeds, nodes = model.time(node), [state], [node]
-        plan, count = [], self._count  # per level: the (node, untabulated states) pairs
+        plan, count = [], self._count  # per level: the (node, untabulated entries) pairs
         while nodes:
-            level, todo, below = self._level(seeds, t), [], []
+            (level, seeds), todo, below = self._level(seeds, t), [], []
             for nid in nodes:  # a node with nothing untabulated has a tabulated subtree
-                new = [e for e in level if e[0] not in values[nid]] if nid in values else level
+                vals = values.get(nid)
+                new = level if vals is None else [
+                    e for e in level if e[0] >= len(vals) or vals[e[0]] is None]
                 if new:
                     count += len(new)
                     if count > cap:
                         raise CapExceededError(over, count=count)
                     todo.append((nid, new))
                     below += [cid for cid, _ in model.children(nid)]
-            plan.append(todo)
-            seeds = [c for _, _, c in level if c is not None]
+            plan.append((len(self._slots[t]), todo))
             nodes, t = below, t + 1
 
         paths: dict[str, tuple[str, ...]] = {}
-        for todo in reversed(plan):  # children before their parents
+        terminal = self._terminal_value
+        for size, todo in reversed(plan):  # children before their parents
             for nid, new in todo:
-                children, vals = model.children(nid), values.setdefault(nid, {})
+                children, vals = model.children(nid), values.setdefault(nid, [])
+                vals += [None] * (size - len(vals))
                 kids = [(p, values.get(cid)) for cid, p in children]
                 if self.uses_path:  # a node's path is a child's path without the child
                     below = [paths.pop(cid) for cid, _ in children if cid in paths]
                     paths[nid] = below[0][:-1] if below else model.path_to(nid)
                 path, gain = paths.get(nid), self._gain(nid)
-                for s, succs, c in reversed(new):  # successors before the states stopping into them
+                for slot, succs, c in reversed(new):  # successors before their predecessors
                     if succs is None:
-                        vals[s] = self._terminal_value(s, path, nid)
+                        vals[slot] = terminal(c, path, nid)
                         continue
-                    best = max(vals[succ] for succ in succs) + gain if succs else None
+                    best = max([vals[x] for x in succs]) + gain if succs else None
                     if c is not None and kids:
                         cont = 0.0
                         for p, child_vals in kids:
                             cont += p * child_vals[c]
-                        best = cont if best is None else max(best, cont)
+                        best = cont if best is None or cont > best else best
                     if best is None:
-                        raise AssertionError(f"state {s!r} at {nid!r} has no action")
-                    vals[s] = best
+                        raise AssertionError(f"state in slot {slot} at {nid!r} has no action")
+                    vals[slot] = best
         self._count = count
 
 
 class NestedValue(BackwardInduction):
     """Nested-problem values for one (model, reward) pair.
 
-    A state is a node plus the set of components already committed (with
-    their commit times). ``residual_value`` is the best achievable from that
-    state; :func:`u_component` reads it one commitment further on.
+    A state is the d commit times, ``None`` where a component is free, so a
+    full state is ψ's ``times``. ``residual_value`` is the best achievable
+    from ``(component, time)`` commitments; :func:`u_component` reads it one
+    commitment further on.
     """
 
     label = "nested value table"
@@ -231,14 +253,17 @@ class NestedValue(BackwardInduction):
 
     def residual_value(self, fixed: FixedKey, node: str) -> float:
         """Value at ``node`` given the commitments in ``fixed``; remaining components free."""
-        return self.value(_canon(fixed, self.d), node)
+        fixed = dict(_canon(fixed, self.d))
+        return self.value(tuple(fixed.get(i) for i in range(self.d)), node)
 
-    def _terminal_value(self, fixed: FixedKey, path, node: str) -> float:
-        return self.psi.evaluate(path, tuple(t for _, t in fixed))
+    def _rank(self, times: tuple) -> int:
+        return self.d - times.count(None)
 
-    def _stops(self, fixed: FixedKey, t: int):
-        taken = [i for i, _ in fixed]
-        return [(i, tuple(sorted(fixed + ((i, t),)))) for i in range(self.d) if i not in taken]
+    def _terminal_value(self, times: tuple[int, ...], path, node: str) -> float:
+        return self.psi.evaluate_trusted(path[: max(times) + 1], times)
+
+    def _stops(self, times: tuple, t: int):
+        return [(i, times[:i] + (t,) + times[i + 1:]) for i, x in enumerate(times) if x is None]
 
 
 def _canon(fixed, d: int) -> FixedKey:
@@ -320,17 +345,19 @@ def solve_multi(
         raise ValueError(f"unknown start node {start!r}")
     check_eps(eps)
     nested = NestedValue(model, psi)
+    nested.residual_value((), model.root)  # one fill reaches every node's single commitments
     value = nested.residual_value((), start)
 
-    ids = model.node_ids()
+    ids, free = model.node_ids(), (None,) * psi.d
     commit_values = tuple(
-        NodeProcess(model, {nid: nested.value(((i, model.time(nid)),), nid) for nid in ids})
+        NodeProcess(model, {nid: nested.value(free[:i] + (model.time(nid),) + free[i + 1:], nid)
+                            for nid in ids})
         for i in range(psi.d)
     )
     phi = NodeProcess(model, {nid: max(u[nid] for u in commit_values) for nid in ids})
     snell = snell_solve(phi)
     theta = minimal_optimal_stop(snell, start)
-    tup = nested.extract((), start)
+    tup = nested.extract(free, start)
 
     attained = tuple_value(tup, psi)
     if abs(attained - value) > eps:

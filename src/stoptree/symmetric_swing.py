@@ -67,7 +67,9 @@ def symmetric_backward(
 
 
 class _Ordered(BackwardInduction):
-    """States: the commit times so far, in commitment order (nondecreasing)."""
+    """States: the commit times so far, in commitment order (nondecreasing).
+    The one stop move appends the node's time, so a full state is ψ's
+    ``times`` argument; the default ``_rank``, ``_carry`` and ``_gain`` apply."""
 
     label = "ordered-commitment table"
 
@@ -76,7 +78,7 @@ class _Ordered(BackwardInduction):
         self.psi = psi
 
     def _terminal_value(self, prior: tuple[int, ...], path, node: str) -> float:
-        return self.psi.evaluate(path, prior)
+        return self.psi.evaluate_trusted(path[: max(prior) + 1], prior)
 
     def _stops(self, prior: tuple[int, ...], t: int):
         return ((len(prior), prior + (t,)),)

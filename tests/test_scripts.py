@@ -24,6 +24,8 @@ BAD_RUNS = {
     "swing-missing-model": ["swing_grid.py", "tests/fixtures/no_such_model.json"],
     "lambda-unknown-start": ["lambda_sweep.py", "tests/fixtures/depth2.json", "--start", "zz"],
     "swing-unknown-start": ["swing_grid.py", "tests/fixtures/depth2.json", "--start", "zz"],
+    "swing-d-max-zero": ["swing_grid.py", "tests/fixtures/depth2.json", "--d-max", "0"],
+    "swing-negative-delta-max": ["swing_grid.py", "tests/fixtures/depth2.json", "--delta-max", "-1"],
     "certify-depth-zero": ["certify_sweep.py", "--depth", "0"],
     "certify-d-zero": ["certify_sweep.py", "--d", "0"],
     "certify-negative-instances": ["certify_sweep.py", "--instances", "-3"],
