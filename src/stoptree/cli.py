@@ -16,8 +16,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .market_model import (
@@ -175,10 +178,14 @@ def _load_table_reward(path: Path, model: TreeModel, d: int) -> MultiReward:
     try:
         table_d = int(doc["d"])
         symmetric = bool(doc.get("symmetric", False))
-        table = {(str(row["node"]), tuple(int(t) for t in row["times"])): float(row["value"])
-                 for row in doc["rows"]}
+        rows = [((str(row["node"]), tuple(int(t) for t in row["times"])), float(row["value"]))
+                for row in doc["rows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed reward table {str(path)!r}: {exc}") from exc
+    table = dict(rows)
+    if len(table) != len(rows):
+        nid, times = next(key for key, n in Counter(key for key, _ in rows).items() if n > 1)
+        raise ValueError(f"reward table {str(path)!r} lists node {nid!r} at times {times} more than once")
     if table_d != d:
         raise ValueError(f"reward table is for d={table_d}, request says d={d}")
     if table_d > 2:
@@ -324,12 +331,40 @@ def _run_certify(config, model, processes, start):
 def emit_report(report: dict, fmt: str) -> str:
     """Render a report dict as json, csv, or text."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json(report, "") + "\n"
     if fmt == "csv":
         return _emit_csv(report)
     if fmt == "text":
         return _emit_text(report)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _json(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` at nesting ``pad``, byte for byte.
+
+    Any ``indent`` keeps ``json.dumps`` off its C encoder, so dicts and lists
+    are laid out here and strings go through the encoder's own escaping; a
+    ``{"node", "time", "value"}`` row is rendered from one template. Anything
+    else (bools, None, nan, empty containers, non-string keys) is left to
+    ``json.dumps`` itself.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+        return repr(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and tuple(obj) == ("node", "time", "value"):
+        node, time, value = obj.values()
+        if isinstance(node, str) and type(time) is int and type(value) is float and math.isfinite(value):
+            return (f'{{\n{inner}"node": {_encode_str(node)},\n{inner}"time": {time!r},'
+                    f'\n{inner}"value": {value!r}\n{pad}}}')
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = [f"{_encode_str(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [_json(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
 def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:

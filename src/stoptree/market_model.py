@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import permutations
@@ -38,7 +39,7 @@ class InfeasibleError(ValueError):
     that do not fit into the horizon)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     time: int
@@ -181,44 +182,48 @@ class TreeModel:
 
     def _validate(self) -> tuple[str, ...]:
         """Check every invariant; returns the node ids in preorder."""
-        if self.horizon < 1:
+        nodes, root, horizon, inf = self._nodes, self.root, self.horizon, float("inf")
+        if horizon < 1:
             raise ModelValidationError("horizon must be >= 1")
-        if self.root not in self._nodes:
-            raise ModelValidationError(f"root {self.root!r} missing from node set")
-        if self._nodes[self.root].time != 0:
-            raise ModelValidationError(f"root {self.root!r} must sit at time 0")
-        for nid, node in self._nodes.items():
+        if root not in nodes:
+            raise ModelValidationError(f"root {root!r} missing from node set")
+        if nodes[root].time != 0:
+            raise ModelValidationError(f"root {root!r} must sit at time 0")
+        for nid, node in nodes.items():
             if nid != node.id:
                 raise ModelValidationError(f"node {nid!r} indexed under wrong id")
-            if node.parent is None:
-                if nid != self.root:
+            time, parent, kids = node.time, node.parent, node.children
+            if parent is None:
+                if nid != root:
                     raise ModelValidationError(f"node {nid!r} has no parent and is not the root")
             else:
-                if node.parent not in self._nodes:
-                    raise ModelValidationError(f"node {nid!r} references missing parent {node.parent!r}")
-                if self._nodes[node.parent].time != node.time - 1:
+                up = nodes.get(parent)
+                if up is None:
+                    raise ModelValidationError(f"node {nid!r} references missing parent {parent!r}")
+                if up.time != time - 1:
                     raise ModelValidationError(
-                        f"node {nid!r} at time {node.time} must have its parent one step earlier"
+                        f"node {nid!r} at time {time} must have its parent one step earlier"
                     )
-            if not 0 <= node.time <= self.horizon:
-                raise ModelValidationError(f"node {nid!r} time {node.time} outside [0, {self.horizon}]")
-            child_ids = [cid for cid, _ in node.children]
-            if len(set(child_ids)) != len(child_ids):
+            if not 0 <= time <= horizon:
+                raise ModelValidationError(f"node {nid!r} time {time} outside [0, {horizon}]")
+            if len(kids) > 1 and len({cid for cid, _ in kids}) != len(kids):
                 raise ModelValidationError(f"node {nid!r} lists a duplicate child")
-            for cid, p in node.children:
-                if cid not in self._nodes:
+            total = 0.0
+            for cid, p in kids:
+                child = nodes.get(cid)
+                if child is None:
                     raise ModelValidationError(f"node {nid!r} references missing child {cid!r}")
-                if self._nodes[cid].parent != nid:
+                if child.parent != nid:
                     raise ModelValidationError(f"child {cid!r} does not point back to parent {nid!r}")
-                if not (p >= 0.0 and p == p and p != float("inf")):
+                if not (p >= 0.0 and p == p and p != inf):
                     raise ModelValidationError(f"edge {nid!r}->{cid!r} has invalid probability {p!r}")
-            if node.time == self.horizon:
-                if node.children:
+                total += p
+            if time == horizon:
+                if kids:
                     raise ModelValidationError(f"node {nid!r} at the horizon must be a leaf")
             else:
-                if not node.children:
+                if not kids:
                     raise ModelValidationError(f"node {nid!r} is a leaf before the horizon")
-                total = sum(p for _, p in node.children)
                 if abs(total - 1.0) > EPS_PROB:
                     raise ModelValidationError(
                         f"children probabilities of node {nid!r} sum to {total!r}, not 1"
@@ -227,18 +232,18 @@ class TreeModel:
         # every leaf with a strictly positive path probability
         order: list[str] = []
         bad_leaf = None
-        stack = [(self.root, 1.0)]
+        stack = [(root, 1.0)]
         while stack:
             nid, p = stack.pop()
             order.append(nid)
-            kids = self._nodes[nid].children
+            kids = nodes[nid].children
             if not kids and p <= 0.0 and bad_leaf is None:
                 bad_leaf = nid
             for cid, pc in reversed(kids):
                 stack.append((cid, p * pc))
-        if len(order) != len(self._nodes):
+        if len(order) != len(nodes):
             reached = set(order)
-            nid = next(nid for nid in self._nodes if nid not in reached)
+            nid = next(nid for nid in nodes if nid not in reached)
             raise ModelValidationError(f"node {nid!r} is not connected to the root")
         if bad_leaf is not None:
             raise ModelValidationError(f"leaf {bad_leaf!r} has nonpositive path probability")
@@ -279,7 +284,7 @@ def build_tree_from_spec(spec: Mapping) -> TreeModel:
 
     ids = [nid for nid, _, _, _ in parsed]
     if len(set(ids)) != len(ids):
-        dup = next(nid for nid in ids if ids.count(nid) > 1)
+        dup = next(nid for nid, n in Counter(ids).items() if n > 1)
         raise ModelValidationError(f"duplicate node id {dup!r}")
 
     roots = [nid for nid, _, parent, _ in parsed if parent is None]
@@ -374,29 +379,37 @@ class StoppingTime:
     stop_set: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "stop_set", frozenset(self.stop_set))
+        stops = frozenset(self.stop_set)
+        object.__setattr__(self, "stop_set", stops)
         model = self.model
         if self.start not in model:
             raise ModelValidationError(f"unknown start node {self.start!r}")
-        in_subtree = set(model.subtree_ids(self.start))
-        stray = self.stop_set - in_subtree
+        # one preorder walk down to the first stop of each path; a stop node it
+        # misses lies outside the subtree or below another stop, named below
+        nodes = model._nodes
+        reached = 0
+        stack = [self.start]
+        while stack:
+            nid = stack.pop()
+            if nid in stops:
+                reached += 1
+                continue
+            kids = nodes[nid].children
+            if not kids:
+                raise ModelValidationError(f"path ending at leaf {nid!r} never stops")
+            for cid, _ in reversed(kids):
+                stack.append(cid)
+        if reached == len(stops):
+            return
+        stray = stops.difference(model.subtree_ids(self.start))
         if stray:
             raise ModelValidationError(
                 f"stop node {sorted(stray)[0]!r} lies outside the subtree of {self.start!r}"
             )
-
-        stack = [(self.start, False)]
-        while stack:
-            nid, stopped = stack.pop()
-            if nid in self.stop_set:
-                if stopped:
-                    raise ModelValidationError(f"path through {nid!r} stops more than once")
-                stopped = True
-            kids = model.children(nid)
-            if not kids and not stopped:
-                raise ModelValidationError(f"path ending at leaf {nid!r} never stops")
-            for cid, _ in reversed(kids):
-                stack.append((cid, stopped))
+        t0 = model.time(self.start)
+        nid = next(n for n in model.subtree_ids(self.start)
+                   if n in stops and not stops.isdisjoint(model.path_to(n)[t0:-1]))
+        raise ModelValidationError(f"path through {nid!r} stops more than once")
 
     def stop_node_on_path(self, leaf: str) -> str:
         """The unique stop node on the path from ``start`` through ``leaf``."""
@@ -572,9 +585,13 @@ def load_model(source: str | Path | Mapping) -> tuple[TreeModel, dict[str, NodeP
     processes: dict[str, NodeProcess] = {}
     for name, rows in named.items():
         try:
-            values = {str(r["id"]): float(r["value"]) for r in rows}
+            pairs = [(str(r["id"]), float(r["value"])) for r in rows]
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelValidationError(f"malformed process {name!r}: {exc}") from exc
+        values = dict(pairs)
+        if len(values) != len(pairs):
+            dup = next(nid for nid, n in Counter(nid for nid, _ in pairs).items() if n > 1)
+            raise ModelValidationError(f"process {name!r} lists node {dup!r} more than once")
         processes[name] = NodeProcess(model, values)
     return model, processes
 

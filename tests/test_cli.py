@@ -19,6 +19,7 @@ from stoptree.cli import (
     EXIT_OK,
     EXIT_PARSE,
     RunConfig,
+    _load_table_reward,
     emit_report,
     main,
     run,
@@ -286,3 +287,34 @@ def test_console_script_runs():
     )
     assert proc.returncode == EXIT_OK
     assert "value: 2" in proc.stdout
+
+
+def test_single_exits_parse_on_a_repeated_process_row(tmp_path):
+    doc = json.loads(Path(DEPTH2).read_text())
+    doc["processes"]["x"].append({"id": "n0", "value": 999})
+    model = tmp_path / "repeated.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["single", "--model", str(model), "--out", str(out)]) == EXIT_PARSE
+    assert "'n0' more than once" in json.loads(out.read_text())["message"]
+
+
+def _table_with_a_repeated_row(tmp_path) -> Path:
+    doc = json.loads(Path(TABLE_D2).read_text())
+    doc["rows"].append({"node": "n0", "times": [0, 0], "value": 12345})
+    path = tmp_path / "repeated_table.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_table_reward_rejects_a_repeated_row(tmp_path):
+    model, _ = load_model(DEPTH2)
+    with pytest.raises(ValueError, match=r"lists node 'n0' at times \(0, 0\) more than once"):
+        _load_table_reward(_table_with_a_repeated_row(tmp_path), model, 2)
+
+
+def test_multi_exits_parse_on_a_repeated_table_row(tmp_path):
+    table, out = _table_with_a_repeated_row(tmp_path), tmp_path / "report.json"
+    argv = ["multi", "--model", DEPTH2, "--d", "2", "--reward", f"table:{table}", "--out", str(out)]
+    assert main(argv) == EXIT_PARSE
+    assert "'n0' at times (0, 0) more than once" in json.loads(out.read_text())["message"]

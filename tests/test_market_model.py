@@ -19,7 +19,7 @@ from stoptree import (
     load_model,
     stopping_time_value,
 )
-from tests.conftest import FIXTURES, make_binary_tree, make_process, sample_cut
+from tests.conftest import FIXTURES, all_cuts, make_binary_tree, make_process, sample_cut
 
 
 def _spec(horizon, rows):
@@ -395,3 +395,69 @@ def test_symmetric_table_must_be_symmetric():
     del sym["u", (1, 0)]
     with pytest.raises(ValueError, match="missing"):
         MultiReward.from_table(2, sym, symmetric=True)
+
+
+# -- the one-walk cut check -------------------------------------------------
+
+
+def _is_exact_cut(model, start, stops) -> bool:
+    """The predicate the cut check decides: ``stops`` lies in the subtree of
+    ``start`` and every path from ``start`` to a leaf meets it exactly once."""
+    if not stops <= set(model.subtree_ids(start)):
+        return False
+    t0 = model.time(start)
+    return all(sum(nid in stops for nid in model.path_to(leaf)[t0:]) == 1
+               for leaf in model.leaves_below(start))
+
+
+def _candidate_sets(model, start, rng):
+    """All node sets on small models; on larger ones, exact cuts, the same
+    cuts with one node added or dropped, and random sets."""
+    ids = model.node_ids()
+    if len(ids) <= 8:
+        for mask in range(2 ** len(ids)):
+            yield frozenset(nid for k, nid in enumerate(ids) if mask >> k & 1)
+        return
+    cuts = all_cuts(model, start)
+    for cut in rng.sample(cuts, min(len(cuts), 40)):
+        yield cut
+        yield cut | {rng.choice(ids)}
+        yield cut - {rng.choice(sorted(cut))}
+    for _ in range(40):
+        yield frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+
+
+@pytest.mark.parametrize("fixture", ["depth2", "chain3", "depth4"])
+def test_cut_check_accepts_exactly_the_exact_cuts(fixture, request):
+    model, _ = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    verdicts = set()
+    for start in model.node_ids():
+        for stops in _candidate_sets(model, start, rng):
+            exact = _is_exact_cut(model, start, stops)
+            verdicts.add(exact)
+            if exact:
+                assert StoppingTime(model, start, stops).stop_set == stops
+            else:
+                with pytest.raises(ModelValidationError):
+                    StoppingTime(model, start, stops)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("start, stops, message", [
+    ("n0", {"u"}, "path ending at leaf 'du' never stops"),
+    ("n0", {"u", "d", "du", "dd"}, "path through 'du' stops more than once"),
+    ("d", {"u", "du", "dd"}, "stop node 'u' lies outside the subtree of 'd'"),
+])
+def test_cut_check_names_the_offending_node(depth2, start, stops, message):
+    model, _ = depth2
+    with pytest.raises(ModelValidationError) as err:
+        StoppingTime(model, start, frozenset(stops))
+    assert str(err.value) == message
+
+
+def test_load_model_rejects_a_repeated_process_row():
+    doc = json.loads((FIXTURES / "depth2.json").read_text())
+    doc["processes"]["x"].append({"id": "n0", "value": 999})
+    with pytest.raises(ModelValidationError, match="process 'x' lists node 'n0' more than once"):
+        load_model(doc)
