@@ -2,21 +2,24 @@
 
 This module deliberately shares no optimization logic with the solvers: it
 enumerates every stopping tuple outright, values each one as a sum over the
-leaves in one fixed order, and keeps every maximizer. The only thing it
-caches is each leaf's term weight · ψ per stop-time vector, so ψ runs once
-per distinct (leaf, stop-time vector) while the work still grows with the
-number of tuples; its purpose is to certify the backward-induction results
-on small instances. Every enumeration of cuts in the package is
-:func:`_ordered_fold`; the free d-fold tuples are the d-th power of its
-d = 1 cuts. The d-fold order on stop-time vectors, and the pathwise
+leaves in one fixed order, and keeps every maximizer. It values a row at a
+time, the tuples that differ only in their last cut: each leaf adds the
+row's column of terms in C, so every value is still the sum from 0.0 in
+leaf order. The only thing it caches is each leaf's term weight · ψ per
+stop-time vector, so ψ runs once per distinct (leaf, stop-time vector)
+while the work still grows with the number of tuples; its purpose is to
+certify the backward-induction results on small instances. Every
+enumeration of cuts in the package is :func:`_ordered_fold`; the free
+d-fold tuples are the d-th power of its d = 1 cuts. The d-fold order on stop-time vectors, and the pathwise
 order check :func:`certify` runs with it, live here too.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from math import prod
+from operator import add
 
 from .market_model import (
     CapExceededError,
@@ -97,40 +100,46 @@ def brute_force_value(
         combos = [tuple(index.setdefault(c, len(index)) for c in combo)
                   for combo in _ordered_cuts(model, start, psi.d, min_gap)]
         cuts = list(index)
-    # per leaf: its path, P(leaf | start), the stop time of each cut on the
-    # path, and weight * psi per stop-time vector, filled on first use
-    leaves = [(path, weight, times, {})
+    # per leaf: the stop time of each cut on its path, and weight * psi
+    leaves = [(times, _Terms(psi, path, weight))
               for _, path, weight, times in model.leaf_paths(start, cuts)]
-    # One pass: ``kept`` holds, in enumeration order, every (combo, value)
-    # pair that was within eps of the running best when it was seen. The
-    # best only rises, so a pair that falls below it never returns. Pairs
-    # that fell below are dropped once ``kept`` has doubled since the last
-    # drop, which keeps the pass linear, and once more at the end.
+    # One pass over rows in chunks of at most 1,024 tuples. Per leaf, the
+    # chunk's terms are looked up and added in C, leaf after leaf from 0.0,
+    # as the per-tuple sum would be. ``kept`` holds, in enumeration order,
+    # the (combo, value) pairs within eps of the best at the end of their
+    # chunk; the best only rises. Pairs that fell below are dropped once
+    # ``kept`` has doubled since the last drop, which keeps the pass
+    # linear, and once more at the end.
+    if min_gap is None:
+        rows = ((head, range(len(cuts))) for head in product(range(len(cuts)), repeat=psi.d - 1))
+    else:
+        rows = ((head, [c[-1] for c in run]) for head, run in groupby(combos, key=lambda c: c[:-1]))
     best = None
     kept: list[tuple[tuple[int, ...], float]] = []
     prune_at = 0
     seen = 0
-    for combo in product(range(len(cuts)), repeat=psi.d) if min_gap is None else combos:
-        val = 0.0
-        for path, weight, times, terms in leaves:
-            key = tuple([times[i] for i in combo])
-            term = terms.get(key)
-            if term is None:
-                term = terms[key] = weight * psi.evaluate(path, key)
-            val += term
-        if best is None or val > best:
-            best = val
-            if len(kept) >= prune_at:
-                kept = [kv for kv in kept if kv[1] >= best - eps]
-                prune_at = 2 * len(kept)
-        if val >= best - eps:
-            kept.append((combo, val))
-        seen += 1
-        if seen % 1024 == 0 and time.perf_counter() - t_begin > DEFAULT_TIME_BUDGET:
-            raise CapExceededError(
-                f"oracle ran past its {DEFAULT_TIME_BUDGET}s budget after {seen} tuples",
-                count=seen,
-            )
+    for head, lasts in rows:
+        for lo in range(0, len(lasts), 1024):
+            chunk = lasts[lo:lo + 1024]
+            vals = [0.0] * len(chunk)
+            for times, terms in leaves:
+                row_terms = terms[tuple([times[i] for i in head])]
+                stops = times[lo:lo + 1024] if min_gap is None else map(times.__getitem__, chunk)
+                vals = list(map(add, vals, map(row_terms.__getitem__, stops)))
+            top = max(vals)
+            if best is None or top > best:
+                best = top
+                if len(kept) >= prune_at:
+                    kept = [kv for kv in kept if kv[1] >= best - eps]
+                    prune_at = 2 * len(kept)
+            if top >= (floor := best - eps):
+                kept += [(head + (j,), v) for j, v in zip(chunk, vals) if v >= floor]
+            seen += len(chunk)
+            if time.perf_counter() - t_begin > DEFAULT_TIME_BUDGET:
+                raise CapExceededError(
+                    f"oracle ran past its {DEFAULT_TIME_BUDGET}s budget after {seen} tuples",
+                    count=seen,
+                )
     assert best is not None
     kept = [kv for kv in kept if kv[1] >= best - eps]
 
@@ -154,6 +163,20 @@ def brute_force_value(
         constraint=constraint,
         min_gap=min_gap,
     )
+
+
+class _Terms(dict):
+    """One leaf's weight · ψ per stop-time vector ``front + (last,)``, held as
+    ``self[front][last]``; each entry is computed on first use."""
+
+    def __init__(self, psi: MultiReward, path: tuple[str, ...], weight: float, front=None):
+        self.args = psi, path, weight, front
+
+    def __missing__(self, key):
+        psi, path, weight, front = self.args
+        self[key] = (_Terms(psi, path, weight, key) if front is None
+                     else weight * psi.evaluate(path, front + (key,)))
+        return self[key]
 
 
 def _ordered_fold(model: TreeModel, start: str, d: int, gap: int, unit, zero, stop, join):

@@ -348,3 +348,88 @@ def test_one_pass_drops_near_ties_after_a_late_jump(chain3):
     rep = brute_force_value(model, psi, "c0")
     assert one_pass(rep) == two_pass_oracle(model, psi, "c0")
     assert [tuple(t.times_on_path("c2")) for t in rep.optimal_tuples] == [(2, 0)]
+
+
+def make_decimal_tree(rng, depth):
+    """A tree of 1 to 3 children per node whose edge probabilities, 0.1/0.9,
+    0.3/0.7 or 0.1/0.3/0.6, are not dyadic, so sums depend on their order."""
+    rows = [{"id": "n0", "time": 0}]
+    grow = [("n0", 0)]
+    while grow:
+        nid, t = grow.pop()
+        if t == depth:
+            continue
+        probs = {1: [1.0], 2: rng.choice([[0.1, 0.9], [0.3, 0.7]]), 3: [0.1, 0.3, 0.6]}[rng.randint(1, 3)]
+        for k, p in enumerate(probs):
+            rows.append({"id": f"{nid}.{k}", "time": t + 1, "parent": nid, "prob": p})
+            grow.append((f"{nid}.{k}", t + 1))
+    return build_tree_from_spec({"horizon": depth, "nodes": rows})
+
+
+def make_decimal_table(rng, model, d):
+    """A reward table whose entries are k/3, k/7 or k/10."""
+    table = {}
+    for nid in model.node_ids():
+        t = model.time(nid)
+        for times in product(range(t + 1), repeat=d):
+            if max(times) == t:
+                table[(nid, times)] = rng.randint(0, 20) / rng.choice([3, 7, 10])
+    return MultiReward.from_table(d, table)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_one_pass_matches_two_pass_reference_on_non_dyadic_values(seed):
+    # the reference adds each tuple's terms leaf by leaf from 0.0; with
+    # non-dyadic weights and rewards, any other order of addition shows
+    rng = random.Random(seed)
+    model = make_decimal_tree(rng, rng.randint(1, 3))
+    for d in (1, 2, 3):
+        psi = make_decimal_table(rng, model, d)
+        for start in model.node_ids():
+            for min_gap in (None, 0, 1, 2):
+                if min_gap is None:
+                    count = _count_ordered(model, start, 1, 0) ** d
+                else:
+                    count = _count_ordered(model, start, d, min_gap)
+                if 0 < count <= 2_000:
+                    rep = brute_force_value(model, psi, start, min_gap=min_gap)
+                    assert one_pass(rep) == two_pass_oracle(model, psi, start, min_gap)
+
+
+def test_time_budget_is_checked_inside_a_row(monkeypatch):
+    # two 40-step chains below the root give 1 + 40 * 40 cuts; at d = 1 they
+    # all differ only in their last cut, so they form a single row
+    rows = [{"id": "r", "time": 0}]
+    for arm in "ab":
+        rows += [{"id": f"{arm}{t}", "time": t, "parent": f"{arm}{t - 1}" if t > 1 else "r",
+                  "prob": 0.5 if t == 1 else 1.0} for t in range(1, 41)]
+    model = build_tree_from_spec({"horizon": 40, "nodes": rows})
+    assert _count_ordered(model, "r", 1, 0) == 1601
+    monkeypatch.setattr("stoptree.oracle.DEFAULT_TIME_BUDGET", 0.0)
+    with pytest.raises(CapExceededError, match="budget") as err:
+        brute_force_value(model, MultiReward.zero(1), "r")
+    assert err.value.count <= 1024
+
+
+@pytest.mark.parametrize("d, min_gap", [(3, None), (2, 1), (3, 1)])
+def test_psi_runs_once_per_leaf_and_time_vector_in_every_row_shape(d, min_gap):
+    model = make_binary_tree(random.Random(5), 3)
+    x = NodeProcess(model, {nid: float(k % 7) for k, nid in enumerate(model.node_ids())})
+    additive = MultiReward.additive(x, d)
+    calls = []
+
+    def fn(path, times):
+        calls.append((path, times))
+        return additive.fn(path, times)
+
+    brute_force_value(model, MultiReward.from_function(d, fn), "n0", min_gap=min_gap)
+    if min_gap is None:
+        cuts = all_cuts(model, "n0")
+        tuples = list(product(range(len(cuts)), repeat=d))
+    else:
+        tuples = _ordered_cuts(model, "n0", d, min_gap)
+        cuts = list(dict.fromkeys(c for tup in tuples for c in tup))
+        tuples = [tuple(cuts.index(c) for c in tup) for tup in tuples]
+    leaves = list(model.leaf_paths("n0", cuts))
+    distinct = sum(len({tuple(times[i] for i in tup) for tup in tuples}) for _, _, _, times in leaves)
+    assert len(calls) == distinct + 3 * len(leaves)  # instance_fingerprint: three vectors per leaf
